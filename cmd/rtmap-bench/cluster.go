@@ -8,6 +8,7 @@ import (
 	"rtmap/internal/cluster"
 	"rtmap/internal/cluster/chaos"
 	"rtmap/internal/core"
+	"rtmap/internal/loadgen"
 	"rtmap/internal/serve"
 )
 
@@ -84,11 +85,20 @@ func clusterSweep(dur time.Duration, progress func(string)) (*clusterSection, er
 		MaxAttempts: 3,
 		Logf:        func(string, ...any) {},
 	}
-	drive := chaos.DriveOptions{
-		Models:   []string{"tinycnn"},
-		Variants: clusterVariants,
-		Workers:  clusterWorkers,
-		Pinned:   true,
+	sh, _ := serve.ZooShape("tinycnn")
+	var bodies []loadgen.Body
+	for v := 1; v <= clusterVariants; v++ {
+		b, err := loadgen.Bodies(serve.InferRequest{Model: "tinycnn", Seed: uint64(v)}, sh, 1, 2, 7)
+		if err != nil {
+			return nil, err
+		}
+		bodies = append(bodies, b...)
+	}
+	load := func(c *chaos.Cluster, dur time.Duration) loadgen.Options {
+		return loadgen.Options{
+			URL: c.RouterURL(), Bodies: bodies, Workers: clusterWorkers, Pinned: true,
+			Duration: dur, Timeout: 30 * time.Second,
+		}
 	}
 
 	sec := &clusterSection{
@@ -101,16 +111,13 @@ func clusterSweep(dur time.Duration, progress func(string)) (*clusterSection, er
 		if err != nil {
 			return nil, err
 		}
-		arm, err := clusterDrive(c, drive, dur, true)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
+		loadgen.Run(context.Background(), load(c, time.Second)) // admit every variant
+		arm := clusterArmOf(loadgen.Run(context.Background(), load(c, dur)))
 		arm.Nodes = n
 		sec.Arms = append(sec.Arms, *arm)
 
 		if n == 3 {
-			rec, err := clusterKill(c, drive, healthInterval, progress)
+			rec, err := clusterKill(c, load(c, 0), healthInterval, progress)
 			if err != nil {
 				c.Close()
 				return nil, err
@@ -125,56 +132,31 @@ func clusterSweep(dur time.Duration, progress func(string)) (*clusterSection, er
 	return sec, nil
 }
 
-// clusterDrive runs one measured window (with a preceding warmup run
-// that admits every variant, so compile time never pollutes the
-// measurement).
-func clusterDrive(c *chaos.Cluster, drive chaos.DriveOptions, dur time.Duration, warm bool) (*clusterArm, error) {
-	if warm {
-		wctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_, err := c.Drive(wctx, drive)
-		cancel()
-		if err != nil {
-			return nil, err
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), dur)
-	defer cancel()
-	start := time.Now()
-	rep, err := c.Drive(ctx, drive)
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start).Seconds()
+// clusterArmOf summarizes one load run as an arm.
+func clusterArmOf(res *loadgen.Result) *clusterArm {
+	t, wall := res.Total, res.Elapsed.Seconds()
 	return &clusterArm{
-		WallS: wall, Sent: rep.Sent, OK: rep.OK, Rejected: rep.Rejected,
-		Errors: rep.Errors, Mismatches: rep.Mismatches,
-		OKPerSec: float64(rep.OK) / wall,
-	}, nil
+		WallS: wall, Sent: t.Sent, OK: t.OK, Rejected: t.Shed + t.Expired + t.Unavailable,
+		Errors: t.Failed, Mismatches: res.Mismatches,
+		OKPerSec: float64(t.OK) / wall,
+	}
 }
 
 // clusterKill kills the busiest node mid-load and times detection.
-func clusterKill(c *chaos.Cluster, drive chaos.DriveOptions, healthInterval time.Duration, progress func(string)) (*clusterRecovery, error) {
-	// Background drive across the kill; the arm that just finished left
+func clusterKill(c *chaos.Cluster, load loadgen.Options, healthInterval time.Duration, progress func(string)) (*clusterRecovery, error) {
+	// Background load across the kill; the arm that just finished left
 	// every variant admitted, so no warmup is needed.
 	rctx, rcancel := context.WithCancel(context.Background())
 	defer rcancel()
-	type driven struct {
-		rep *chaos.Report
-		err error
-	}
-	done := make(chan driven, 1)
-	start := time.Now()
-	go func() {
-		rep, err := c.Drive(rctx, drive)
-		done <- driven{rep, err}
-	}()
+	done := make(chan *loadgen.Result, 1)
+	go func() { done <- loadgen.Run(rctx, load) }()
 	time.Sleep(500 * time.Millisecond) // steady state before the kill
 
 	// Victim: the primary owner of the most variants — the node whose
 	// death moves the most traffic.
 	ring := c.Router().Ring()
 	counts := map[string]int{}
-	for v := 1; v <= drive.Variants; v++ {
+	for v := 1; v <= clusterVariants; v++ {
 		key := cluster.RouteKey("tinycnn", 0, nil, uint64(v))
 		counts[ring.Owners(key, 1)[0]]++
 	}
@@ -185,7 +167,7 @@ func clusterKill(c *chaos.Cluster, drive chaos.DriveOptions, healthInterval time
 		}
 	}
 
-	progress(fmt.Sprintf("cluster kill: %s (owns %d/%d variants)", victim, counts[victim], drive.Variants))
+	progress(fmt.Sprintf("cluster kill: %s (owns %d/%d variants)", victim, counts[victim], clusterVariants))
 	health := c.Router().Health()
 	cycles0 := health.Cycles()
 	t0 := time.Now()
@@ -203,21 +185,13 @@ func clusterKill(c *chaos.Cluster, drive chaos.DriveOptions, healthInterval time
 
 	time.Sleep(500 * time.Millisecond) // post-kill window at 2 nodes
 	rcancel()
-	d := <-done
-	if d.err != nil {
-		return nil, d.err
-	}
-	wall := time.Since(start).Seconds()
+	across := clusterArmOf(<-done)
+	across.Nodes = 3
 	return &clusterRecovery{
 		Victim:           victim,
 		HealthIntervalMS: float64(healthInterval) / 1e6,
 		DetectMS:         float64(detect) / 1e6,
 		DetectCycles:     detectCycles,
-		AcrossKill: clusterArm{
-			Nodes: 3, WallS: wall, Sent: d.rep.Sent, OK: d.rep.OK,
-			Rejected: d.rep.Rejected, Errors: d.rep.Errors,
-			Mismatches: d.rep.Mismatches,
-			OKPerSec:   float64(d.rep.OK) / wall,
-		},
+		AcrossKill:       *across,
 	}, nil
 }

@@ -1,17 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rtmap"
+	"rtmap/internal/loadgen"
 	"rtmap/internal/serve"
 	"rtmap/internal/workload"
 )
@@ -48,10 +45,12 @@ type sloSection struct {
 	// GoodputRatio is SLO-arm goodput over static-arm goodput at the
 	// same offered load; the acceptance floor is 1.5.
 	GoodputRatio float64 `json:"goodput_ratio"`
-	// BitExactViolations counts sampled bit-exact responses whose logits
-	// diverged from the reference engine. Must be zero.
-	BitExactViolations int `json:"bit_exact_violations"`
-	BitExactChecked    int `json:"bit_exact_checked"`
+	// BitExactChecked counts the 200s compared against a reference: the
+	// bit-exact bodies (one in 8) against the standalone engine's logits,
+	// the rest against the first answer for their body.
+	// BitExactViolations counts those that differed. Must be zero.
+	BitExactViolations int64 `json:"bit_exact_violations"`
+	BitExactChecked    int64 `json:"bit_exact_checked"`
 }
 
 // sloMixEntry documents one class of the driven workload.
@@ -85,22 +84,6 @@ type sloArmClass struct {
 	Goodput    int64   `json:"goodput"`
 }
 
-// sloClassSpec is one class of the driven mix.
-type sloClassSpec struct {
-	name     string
-	weight   int
-	deadline time.Duration // 0 = none
-}
-
-// sloWorkload is everything both arms share: the class schedule, the
-// request bodies, and the reference logits for bit-exact spot checks.
-type sloWorkload struct {
-	schedule    []*sloClassSpec // deterministic 10-slot proportional fill
-	bodies      [][]byte
-	exactBodies [][]byte  // bit-exact variants, verified against wantLogits
-	wantLogits  [][]int32 // reference logits per exactBodies index
-}
-
 // sloSweep builds the shared workload, calibrates the offered rate
 // against a throwaway static server, then drives both arms with the
 // identical schedule.
@@ -113,21 +96,18 @@ func sloSweep(seed uint64, dur time.Duration, noCache bool, progress func(string
 	// capacity, backlogs convert into missed deadlines, and the
 	// autoscaler's cost-model pricing matches observed wall time.
 	const wallScale = 1000
-	mix := []sloClassSpec{
-		{name: "interactive", weight: 5, deadline: 50 * time.Millisecond},
-		{name: "standard", weight: 3, deadline: 200 * time.Millisecond},
-		{name: "bulk", weight: 2, deadline: 0},
+	mix := []loadgen.Class{
+		{Name: "interactive", Weight: 5, DeadlineMS: 50},
+		{Name: "standard", Weight: 3, DeadlineMS: 200},
+		{Name: "bulk", Weight: 2},
 	}
-	wl, err := buildSLOWorkload(mix, seed)
+	bodies, err := buildSLOBodies(seed)
 	if err != nil {
 		return nil, err
 	}
 	sec := &sloSection{Network: "tinycnn", DurationS: dur.Seconds(), WallScale: wallScale}
 	for _, c := range mix {
-		sec.Mix = append(sec.Mix, sloMixEntry{
-			Class: c.name, WeightPct: c.weight * 10,
-			DeadlineMS: float64(c.deadline) / float64(time.Millisecond),
-		})
+		sec.Mix = append(sec.Mix, sloMixEntry{Class: c.Name, WeightPct: c.Weight * 10, DeadlineMS: c.DeadlineMS})
 	}
 
 	staticOpts := serve.Options{
@@ -147,26 +127,43 @@ func sloSweep(seed uint64, dur time.Duration, noCache bool, progress func(string
 		NoCache:   noCache, Logf: func(string, ...any) {},
 	}
 
+	// Calibration: the static configuration's closed-loop throughput on a
+	// throwaway server, so the offered rate tracks the host instead of a
+	// hardcoded number. Enough workers to keep every replica's batcher
+	// full: with dilated devices this is saturation throughput, not
+	// latency-bound round trips. Reference-path bodies only.
 	progress("calibrating offered load against the static configuration")
-	capacity, err := calibrateCapacity(staticOpts, wl.bodies[0])
+	cal, _, err := inProcess(staticOpts, loadgen.Options{Bodies: bodies[:1], Workers: 64, Duration: 700 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-	sec.OfferedPerSec = capacity * 1.3
+	if cal.Total.OK != cal.Total.Sent {
+		return nil, fmt.Errorf("calibration: %d of %d requests failed: %v", cal.Total.Sent-cal.Total.OK, cal.Total.Sent, cal.Samples)
+	}
+	if cal.Total.OK == 0 {
+		return nil, fmt.Errorf("calibration measured zero throughput")
+	}
+	sec.OfferedPerSec = float64(cal.Total.OK) / cal.Elapsed.Seconds() * 1.3
 
-	progress(fmt.Sprintf("driving static arm at %.0f req/s for %v", sec.OfferedPerSec, dur))
-	st, err := driveSLOArm(staticOpts, "static 2 replicas, SLO off", sec.OfferedPerSec, dur, wl, sec)
-	if err != nil {
-		return nil, err
+	load := loadgen.Options{Bodies: bodies, Classes: mix, Rate: sec.OfferedPerSec, Duration: dur}
+	for _, arm := range []struct {
+		out    *sloArm
+		opts   serve.Options
+		config string
+	}{
+		{&sec.Static, staticOpts, "static 2 replicas, SLO off"},
+		{&sec.SLO, sloOpts, "autoscale from 1 replica, shed at 25ms backlog"},
+	} {
+		progress(fmt.Sprintf("driving %s arm at %.0f req/s for %v", arm.config, sec.OfferedPerSec, dur))
+		res, replicas, err := inProcess(arm.opts, load)
+		if err != nil {
+			return nil, err
+		}
+		*arm.out = sloArmOf(arm.config, res, dur)
+		arm.out.FinalReplicas = replicas
+		sec.BitExactChecked += res.Checked
+		sec.BitExactViolations += res.Mismatches
 	}
-	sec.Static = *st
-
-	progress(fmt.Sprintf("driving SLO arm at %.0f req/s for %v", sec.OfferedPerSec, dur))
-	sl, err := driveSLOArm(sloOpts, "autoscale from 1 replica, shed at 25ms backlog", sec.OfferedPerSec, dur, wl, sec)
-	if err != nil {
-		return nil, err
-	}
-	sec.SLO = *sl
 
 	if sec.Static.Goodput > 0 {
 		sec.GoodputRatio = float64(sec.SLO.Goodput) / float64(sec.Static.Goodput)
@@ -174,285 +171,101 @@ func sloSweep(seed uint64, dur time.Duration, noCache bool, progress func(string
 	return sec, nil
 }
 
-// buildSLOWorkload pre-builds the request bodies and the bit-exact
-// reference logits the spot checks compare against.
-func buildSLOWorkload(mix []sloClassSpec, seed uint64) (*sloWorkload, error) {
-	const pool, exactPool = 16, 4
+// buildSLOBodies pre-builds the 32-body pool both arms cycle: every 8th
+// body (index 7 mod 8) requests bit-exact AP execution and carries the
+// standalone engine's logits, which the serving path must reproduce bit
+// for bit, deadline pressure or not; the rest use the software
+// reference path.
+func buildSLOBodies(seed uint64) ([]loadgen.Body, error) {
+	const pool, exactPool = 28, 4
 	net, err := buildNet("tinycnn", seed)
 	if err != nil {
 		return nil, err
 	}
-	wl := &sloWorkload{}
-
-	// Proportional fill (Bresenham-style) over 10 slots so the class
-	// sequence is deterministic and interleaved.
-	total := 0
-	for _, c := range mix {
-		total += c.weight
-	}
-	assigned := make([]int, len(mix))
-	for i := 0; i < 10; i++ {
-		best, bestLag := 0, -1.0
-		for j, c := range mix {
-			lag := float64(c.weight)*float64(i+1)/float64(total) - float64(assigned[j])
-			if lag > bestLag {
-				best, bestLag = j, lag
-			}
-		}
-		assigned[best]++
-		wl.schedule = append(wl.schedule, &mix[best])
-	}
-
 	sparsity := 0.8
-	data := workload.InputData(net.InputShape, pool+exactPool, seed+1000)
-	marshal := func(inputs [][]float32, exact bool) ([]byte, error) {
-		req := serve.InferRequest{
-			Model: "tinycnn", ActBits: 4, Sparsity: &sparsity, Seed: seed,
-			BitExact: exact, Inputs: inputs,
-		}
-		return json.Marshal(&req)
+	req := serve.InferRequest{Model: "tinycnn", ActBits: 4, Sparsity: &sparsity, Seed: seed}
+	ref, err := loadgen.Bodies(req, net.InputShape, pool, 1, seed+1000)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < pool; i++ {
-		b, err := marshal(data[i:i+1], false)
-		if err != nil {
-			return nil, err
-		}
-		wl.bodies = append(wl.bodies, b)
+	req.BitExact = true
+	exact, err := loadgen.Bodies(req, net.InputShape, exactPool, 1, seed+1000+pool)
+	if err != nil {
+		return nil, err
 	}
-
-	// Reference logits from the standalone engine: the serving path must
-	// reproduce them bit for bit, deadline pressure or not.
 	cfg := rtmap.CompileConfigWithCache(nil, false)
 	cfg.KeepPrograms = true
 	comp, err := rtmap.Compile(net, cfg)
 	if err != nil {
 		return nil, err
 	}
-	exactIns := workload.Inputs(net.InputShape, exactPool, seed+1000+pool)
-	for i := 0; i < exactPool; i++ {
-		b, err := marshal([][]float32{exactIns[i].Data}, true)
+	for i, in := range workload.Inputs(net.InputShape, exactPool, seed+1000+pool) {
+		tr, err := rtmap.RunFunctional(comp, in)
 		if err != nil {
 			return nil, err
 		}
-		wl.exactBodies = append(wl.exactBodies, b)
-		tr, err := rtmap.RunFunctional(comp, exactIns[i])
-		if err != nil {
-			return nil, err
-		}
-		wl.wantLogits = append(wl.wantLogits, tr.Logits().Data)
+		exact[i].Want = [][]int32{tr.Logits().Data}
 	}
-	return wl, nil
-}
-
-// calibrateCapacity measures the static configuration's closed-loop
-// throughput on a throwaway server, so the offered rate tracks the host
-// instead of a hardcoded number.
-func calibrateCapacity(opts serve.Options, body []byte) (float64, error) {
-	srv := serve.New(opts)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-	do := func() error {
-		r := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
-		r.Header.Set("Content-Type", "application/json")
-		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			return fmt.Errorf("calibration: HTTP %d: %s", w.Code, w.Body.String())
-		}
-		return nil
-	}
-	if err := do(); err != nil { // warm-up: admission compiles the model
-		return 0, err
-	}
-	// Enough closed-loop workers to keep every replica's batcher full:
-	// with dilated devices the measurement is saturation throughput, not
-	// latency-bound round-trips.
-	const workers = 64
-	var count atomic.Int64
-	var firstErr atomic.Value
-	start := time.Now()
-	deadline := start.Add(700 * time.Millisecond)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				if err := do(); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				count.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
-		return 0, err
-	}
-	elapsed := time.Since(start).Seconds()
-	c := float64(count.Load()) / elapsed
-	if c <= 0 {
-		return 0, fmt.Errorf("calibration measured zero throughput")
-	}
-	return c, nil
-}
-
-// driveSLOArm runs one serving configuration under the shared open-loop
-// workload and returns its outcome ledger. Bit-exact spot checks (one
-// request in 8) verify logits against the reference engine and
-// accumulate into sec.BitExactChecked/BitExactViolations.
-func driveSLOArm(opts serve.Options, config string, rate float64, dur time.Duration,
-	wl *sloWorkload, sec *sloSection) (*sloArm, error) {
-	srv := serve.New(opts)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-
-	// Warm-up admits (compiles) the model outside the window.
-	{
-		r := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(wl.bodies[0]))
-		r.Header.Set("Content-Type", "application/json")
-		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			return nil, fmt.Errorf("%s warm-up: HTTP %d: %s", config, w.Code, w.Body.String())
-		}
-	}
-
-	arm := &sloArm{Config: config, Classes: map[string]sloArmClass{}}
-	tally := map[string]*sloArmClass{}
-	for i := range wl.schedule {
-		c := wl.schedule[i]
-		if tally[c.name] == nil {
-			tally[c.name] = &sloArmClass{DeadlineMS: float64(c.deadline) / float64(time.Millisecond)}
-		}
-	}
-	var mu sync.Mutex
-	var exactChecked, exactBad int
-
-	shoot := func(n int) {
-		sc := wl.schedule[n%len(wl.schedule)]
-		exact := n%8 == 0
-		var body []byte
-		var exactIdx int
-		if exact {
-			exactIdx = (n / 8) % len(wl.exactBodies)
-			body = wl.exactBodies[exactIdx]
+	var bodies []loadgen.Body
+	for i := 0; i < pool+exactPool; i++ {
+		if i%8 == 7 {
+			bodies = append(bodies, exact[i/8])
 		} else {
-			body = wl.bodies[n%len(wl.bodies)]
-		}
-		r := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
-		r.Header.Set("Content-Type", "application/json")
-		r.Header.Set(serve.ClassHeader, sc.name)
-		if sc.deadline > 0 {
-			r.Header.Set(serve.DeadlineHeader,
-				fmt.Sprintf("%g", float64(sc.deadline)/float64(time.Millisecond)))
-		}
-		t0 := time.Now()
-		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, r)
-		wall := time.Since(t0)
-
-		good := false
-		var logits []int32
-		if w.Code == http.StatusOK {
-			good = sc.deadline == 0 || wall <= sc.deadline
-			if exact {
-				var resp serve.InferResponse
-				if err := json.Unmarshal(w.Body.Bytes(), &resp); err == nil && len(resp.Results) > 0 {
-					logits = resp.Results[0].Logits
-				}
-			}
-		}
-		var kind string
-		if w.Code != http.StatusOK {
-			var eresp struct {
-				Kind string `json:"kind"`
-			}
-			json.Unmarshal(w.Body.Bytes(), &eresp)
-			kind = eresp.Kind
-		}
-
-		mu.Lock()
-		defer mu.Unlock()
-		ct := tally[sc.name]
-		ct.Sent++
-		arm.Sent++
-		switch {
-		case w.Code == http.StatusOK:
-			ct.Accepted++
-			arm.Accepted++
-			if good {
-				ct.Goodput++
-				arm.Goodput++
-			}
-		case w.Code == http.StatusTooManyRequests:
-			ct.Shed++
-			arm.Shed++
-		case w.Code == http.StatusServiceUnavailable && kind == "expired":
-			ct.Expired++
-			arm.Expired++
-		default:
-			arm.Failed++
-		}
-		if logits != nil {
-			exactChecked++
-			want := wl.wantLogits[exactIdx]
-			if len(logits) != len(want) {
-				exactBad++
-			} else {
-				for j := range want {
-					if logits[j] != want[j] {
-						exactBad++
-						break
-					}
-				}
-			}
+			bodies = append(bodies, ref[i-i/8])
 		}
 	}
+	return bodies, nil
+}
 
-	// Open loop with catch-up pacing: every wakeup dispatches however
-	// many arrivals the schedule owes (a sleep-based ticker tops out at
-	// the kernel timer granularity, ~1ms, and silently halves the offered
-	// rate). Bounded in-flight: under overload the semaphore converts
-	// excess arrivals into client-side queueing, which both arms
-	// experience identically.
-	sem := make(chan struct{}, 512)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for n := 0; ; {
-		elapsed := time.Since(start)
-		if elapsed >= dur {
-			break
-		}
-		for target := int(rate * elapsed.Seconds()); n < target; n++ {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				shoot(n)
-			}(n)
-		}
-		time.Sleep(time.Millisecond)
+// inProcess builds a server from opts, warms it (admission compiles the
+// model outside any measurement), drives load through a transport that
+// calls the server's handler directly, and reports the load ledger and
+// the model's final replica count. In process because on a small host a
+// loopback listener's socket and client overhead eats into the measured
+// capacity and so shrinks the overload both arms are compared under.
+func inProcess(opts serve.Options, load loadgen.Options) (*loadgen.Result, int, error) {
+	srv := serve.New(opts)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	load.URL = "http://in-process"
+	load.Transport = handlerTransport{srv.Handler()}
+	if err := loadgen.Warm(load); err != nil {
+		return nil, 0, err
 	}
-	wg.Wait()
-
-	elapsed := dur.Seconds()
-	arm.GoodputPerSec = float64(arm.Goodput) / elapsed
-	for name, ct := range tally {
-		arm.Classes[name] = *ct
-	}
+	res := loadgen.Run(context.Background(), load)
+	replicas := 0
 	if loaded := srv.Registry().Loaded(); len(loaded) > 0 {
-		arm.FinalReplicas = loaded[0].Replicas
+		replicas = loaded[0].Replicas
 	}
-	sec.BitExactChecked += exactChecked
-	sec.BitExactViolations += exactBad
-	return arm, nil
+	return res, replicas, nil
+}
+
+// handlerTransport serves each request by calling h in process.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	w := httptest.NewRecorder()
+	t.h.ServeHTTP(w, r)
+	return w.Result(), nil
+}
+
+// sloArmOf turns one arm's load ledger into its artifact section.
+func sloArmOf(config string, res *loadgen.Result, dur time.Duration) sloArm {
+	t := res.Total
+	arm := sloArm{
+		Config: config, Sent: t.Sent, Accepted: t.OK, Shed: t.Shed, Expired: t.Expired,
+		Failed: t.Unavailable + t.Failed, Goodput: t.Goodput,
+		GoodputPerSec: float64(t.Goodput) / dur.Seconds(),
+		Classes:       map[string]sloArmClass{},
+	}
+	for name, c := range res.Classes {
+		arm.Classes[name] = sloArmClass{
+			DeadlineMS: c.DeadlineMS, Sent: c.Sent, Accepted: c.OK,
+			Shed: c.Shed, Expired: c.Expired, Goodput: c.Goodput,
+		}
+	}
+	return arm
 }

@@ -1,8 +1,11 @@
 // Command rtmap-load is a load generator for rtmap-serve: it discovers
 // the model's input shape from /v1/models, pre-builds a pool of synthetic
-// request payloads, drives /v1/infer in closed-loop (fixed concurrency)
-// or open-loop (fixed arrival rate) mode, and reports throughput and
-// latency percentiles — the serving path's benchmark harness.
+// request payloads, drives /v1/infer through internal/loadgen in
+// closed-loop (fixed concurrency) or open-loop (fixed arrival rate, with
+// catch-up pacing so the offered rate is the one asked for) mode, and
+// reports throughput and latency percentiles — the serving path's
+// benchmark harness. Every 200 is checked bit for bit against the first
+// answer for its payload; a mismatch fails the run like an error.
 //
 //	rtmap-load -url http://127.0.0.1:8080 -model tinycnn -duration 5s -concurrency 8
 //	rtmap-load -model tinycnn -rate 200 -duration 10s     # open loop, 200 req/s
@@ -41,27 +44,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"math"
-	"net"
 	"net/http"
 	neturl "net/url"
 	"os"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
+	"rtmap/internal/loadgen"
 	"rtmap/internal/serve"
 	"rtmap/internal/tensor"
 	"rtmap/internal/trace"
-	"rtmap/internal/workload"
 )
 
 func main() {
@@ -98,287 +94,64 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	bodies, err := loadgen.Bodies(serve.InferRequest{
+		Model: *modelName, ActBits: *bits, Sparsity: sparsity, Seed: *seed, BitExact: *bitExact,
+	}, shape, max(*payloads, 1), max(*batch, 1), *seed+1000)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	bodies := buildPayloads(payloadSpec{
-		model: *modelName, bits: *bits, sparsity: *sparsity, seed: *seed,
-		bitExact: *bitExact, batch: *batch, n: *payloads, shape: shape,
-	})
-
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        *concurrency * 2,
-		MaxIdleConnsPerHost: *concurrency * 2,
-	}}
-	inferURL := *url + "/v1/infer"
-
-	// Warm-up: admit (compile) the model and open connections before the
-	// measurement window.
-	if _, err := post(client, inferURL, bodies[0], "", nil); err != nil {
-		log.Fatalf("warm-up request: %v", err)
+	load := loadgen.Options{
+		URL: *url, Bodies: bodies, Classes: mix,
+		Workers: *concurrency, Rate: *rate, Duration: *duration,
+		Retries: *retries, TraceSample: *traceSample,
+	}
+	// Warm-up: admit (compile) the model before the measurement window.
+	if err := loadgen.Warm(load); err != nil {
+		log.Fatal(err)
 	}
 	if *inspect {
-		if err := inspectOnce(client, inferURL, bodies[0]); err != nil {
+		if err := inspectOnce(*url+"/v1/infer", bodies[0].JSON); err != nil {
 			log.Fatalf("inspect request: %v", err)
 		}
 	}
 
-	var (
-		mu          sync.Mutex
-		latencies   []time.Duration // per-request: attempts plus retry backoff
-		attemptLats []time.Duration // per-attempt: each wire round trip
-		categories  = map[string]int64{}
-		errs        int
-		rejected    int
-		retried     int64
-		slo         map[string]*classTally
-	)
-	if mix != nil {
-		slo = map[string]*classTally{}
-		for _, c := range mix.classes {
-			slo[c.name] = &classTally{deadlineMS: c.deadlineMS}
-		}
+	res := loadgen.Run(context.Background(), load)
+	var tr map[string]any
+	if *traceSample > 0 {
+		tr = joinTraces(*url, *modelName, res.Traces)
 	}
-	recordAttempt := func(d time.Duration, category string) {
-		mu.Lock()
-		attemptLats = append(attemptLats, d)
-		categories[category]++
-		mu.Unlock()
-	}
-	record := func(d time.Duration, sc *sloClass, sh shot, err error) {
-		cat := classify(sh, err)
-		mu.Lock()
-		defer mu.Unlock()
-		var ct *classTally
-		if sc != nil {
-			ct = slo[sc.name]
-			ct.sent++
-		}
-		switch cat {
-		case "ok":
-			latencies = append(latencies, d)
-			if ct != nil {
-				ct.accepted++
-				if sc.deadlineMS == 0 || d.Seconds()*1e3 <= sc.deadlineMS {
-					ct.goodput++
-				}
-			}
-		case "http_429", "http_503":
-			// Clean backpressure: an error document with Retry-After. With a
-			// mix, sheds and expiries are expected per-class outcomes; with
-			// -rejects-ok, any of them is an expected rejection; otherwise
-			// the legacy contract holds and they fail the run.
-			expected := *rejectsOK
-			switch {
-			case ct == nil:
-			case cat == "http_429":
-				ct.shed++
-				expected = true
-			case sh.kind == "expired":
-				ct.expired++
-				expected = true
-			case *rejectsOK:
-				ct.shed++
-			default:
-				ct.failed++
-			}
-			if expected {
-				rejected++
-			} else {
-				errs++
-			}
-		default:
-			errs++
-			if ct != nil {
-				ct.failed++
-			}
-		}
-	}
-
-	tj := newTraceJoin(*traceSample)
-
-	// fire issues request i end to end: the attempt/retry loop, per-attempt
-	// taxonomy accounting, and the per-request outcome.
-	fire := func(i int) {
-		id := tj.id()
-		sc := mix.next()
-		t0 := time.Now()
-		var sh shot
-		var err error
-		for attempt := 0; ; attempt++ {
-			a0 := time.Now()
-			sh, err = post(client, inferURL, bodies[i%len(bodies)], id, sc)
-			recordAttempt(time.Since(a0), classify(sh, err))
-			if attempt >= *retries || !retryable(classify(sh, err), sh.kind) {
-				break
-			}
-			mu.Lock()
-			retried++
-			mu.Unlock()
-			backoff := (10 * time.Millisecond) << uint(attempt)
-			if backoff > 250*time.Millisecond {
-				backoff = 250 * time.Millisecond
-			}
-			time.Sleep(backoff)
-		}
-		d := time.Since(t0)
-		record(d, sc, sh, err)
-		if err == nil && sh.status == http.StatusOK {
-			tj.record(id, d)
-		}
-	}
-
-	start := time.Now()
-	deadline := start.Add(*duration)
-	if *rate > 0 {
-		openLoop(*rate, deadline, fire)
-	} else {
-		closedLoop(*concurrency, deadline, fire)
-	}
-	elapsed := time.Since(start)
-
-	report(reportInput{
-		model: *modelName, mode: mode(*rate), bitExact: *bitExact,
-		batch: *batch, latencies: latencies, errs: errs, elapsed: elapsed,
-		attempts: attemptLats, categories: categories,
-		rejected: rejected, retried: retried,
-		trace: tj.join(*url, *modelName), slo: slo,
+	errs := report(res, reportInput{
+		model: *modelName, mode: mode(*rate), bitExact: *bitExact, batch: *batch,
+		mix: mix != nil, rejectsOK: *rejectsOK, trace: tr,
 	}, *jsonOut, *outFile)
-	if errs > 0 {
+	if errs > 0 || res.Mismatches > 0 {
 		os.Exit(1)
 	}
 }
 
-// classify maps one attempt's outcome onto the error taxonomy: HTTP
-// answers by status, transport failures by cause. The categories let a
-// failed run say how it failed — connect_refused means nobody listens,
-// timeout means something accepted and stalled, http_503 means a node
-// answered and declined — which is exactly the distinction the cluster
-// chaos gates and the router's retry policy reason about.
-func classify(sh shot, err error) string {
-	if sh.status != 0 {
-		switch {
-		case sh.status == http.StatusOK:
-			return "ok"
-		case sh.status == http.StatusTooManyRequests:
-			return "http_429"
-		case sh.status == http.StatusServiceUnavailable:
-			return "http_503"
-		case sh.status >= 500:
-			return "http_5xx"
-		case sh.status >= 400:
-			return "http_4xx"
-		}
-		return fmt.Sprintf("http_%d", sh.status)
-	}
-	switch {
-	case err == nil:
-		return "other" // status 0 with no error should not happen
-	case errors.Is(err, syscall.ECONNREFUSED):
-		return "connect_refused"
-	case errors.Is(err, syscall.ECONNRESET):
-		return "reset"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return "timeout"
-	}
-	return "other"
-}
-
-// retryable reports whether an attempt's outcome is transient enough to
-// re-fire under -retry: refused dials, timeouts, resets, and non-expired
-// 503s (a shedding or draining server invites a retry with Retry-After;
-// an expired deadline cannot succeed on one).
-func retryable(category, kind string) bool {
-	switch category {
-	case "connect_refused", "timeout", "reset":
-		return true
-	case "http_503":
-		return kind != "expired"
-	}
-	return false
-}
-
-// sloClass is one -mix entry: a priority class and the deadline budget
-// its requests carry (0 = no deadline).
-type sloClass struct {
-	name       string
-	weight     int
-	deadlineMS float64
-}
-
-// sloMix assigns each request a class from a deterministic 100-slot
-// schedule proportional to the entry weights, so two runs with the same
-// flags offer the same class sequence regardless of worker interleaving.
-type sloMix struct {
-	classes  []sloClass
-	schedule []*sloClass
-	n        atomic.Uint64
-}
-
-// parseMix decodes "class:weight:deadline_ms,..." into a mix; an empty
-// spec returns nil (SLO headers off).
-func parseMix(spec string) (*sloMix, error) {
+// parseMix decodes "class:weight:deadline_ms,..." into a request mix; an
+// empty spec returns nil (SLO headers off).
+func parseMix(spec string) ([]loadgen.Class, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	m := &sloMix{}
-	total := 0
+	var mix []loadgen.Class
 	for _, part := range strings.Split(spec, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")
 		if len(fields) != 3 {
 			return nil, fmt.Errorf("entry %q: want class:weight:deadline_ms", part)
 		}
-		var c sloClass
-		c.name = strings.TrimSpace(fields[0])
-		if _, err := fmt.Sscanf(fields[1], "%d", &c.weight); err != nil || c.weight <= 0 {
+		c := loadgen.Class{Name: strings.TrimSpace(fields[0])}
+		if _, err := fmt.Sscanf(fields[1], "%d", &c.Weight); err != nil || c.Weight <= 0 {
 			return nil, fmt.Errorf("entry %q: weight must be a positive integer", part)
 		}
-		if _, err := fmt.Sscanf(fields[2], "%g", &c.deadlineMS); err != nil || c.deadlineMS < 0 {
+		if _, err := fmt.Sscanf(fields[2], "%g", &c.DeadlineMS); err != nil || c.DeadlineMS < 0 {
 			return nil, fmt.Errorf("entry %q: deadline_ms must be a non-negative number", part)
 		}
-		m.classes = append(m.classes, c)
-		total += c.weight
+		mix = append(mix, c)
 	}
-	// Proportional fill by running quota (Bresenham-style): slot i goes
-	// to the class furthest behind its weight share, which interleaves
-	// classes instead of batching each one's slots together.
-	const slots = 100
-	assigned := make([]int, len(m.classes))
-	for i := 0; i < slots; i++ {
-		best, bestLag := 0, -1.0
-		for j, c := range m.classes {
-			lag := float64(c.weight)*float64(i+1)/float64(total) - float64(assigned[j])
-			if lag > bestLag {
-				best, bestLag = j, lag
-			}
-		}
-		assigned[best]++
-		m.schedule = append(m.schedule, &m.classes[best])
-	}
-	return m, nil
-}
-
-// next returns the class of the next request. Safe on a nil receiver
-// (mix disabled): every request is classless.
-func (m *sloMix) next() *sloClass {
-	if m == nil {
-		return nil
-	}
-	return m.schedule[(m.n.Add(1)-1)%uint64(len(m.schedule))]
-}
-
-// classTally is the client-side per-class ledger; the accounting-audit
-// test in internal/serve checks the server agrees with the same sums.
-type classTally struct {
-	deadlineMS float64
-	sent       int64
-	accepted   int64
-	shed       int64
-	expired    int64
-	failed     int64
-	goodput    int64 // accepted AND inside the class deadline budget
+	return mix, nil
 }
 
 func mode(rate float64) string {
@@ -418,190 +191,14 @@ func discoverShape(baseURL, model string) (tensor.Shape, error) {
 	return tensor.Shape{}, fmt.Errorf("model %q not served at %s", model, baseURL)
 }
 
-type payloadSpec struct {
-	model    string
-	bits     int
-	sparsity float64
-	seed     uint64
-	bitExact bool
-	batch    int
-	n        int
-	shape    tensor.Shape
-}
-
-func buildPayloads(s payloadSpec) [][]byte {
-	if s.n < 1 {
-		s.n = 1
-	}
-	if s.batch < 1 {
-		s.batch = 1
-	}
-	data := workload.InputData(s.shape, s.n*s.batch, s.seed+1000)
-	bodies := make([][]byte, s.n)
-	for i := range bodies {
-		req := serve.InferRequest{
-			Model: s.model, ActBits: s.bits, Sparsity: &s.sparsity, Seed: s.seed,
-			BitExact: s.bitExact, Inputs: data[i*s.batch : (i+1)*s.batch],
-		}
-		b, err := json.Marshal(&req)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bodies[i] = b
-	}
-	return bodies
-}
-
-// shot is one request's classified outcome: the HTTP status plus, for
-// non-200 answers, the structured error kind the server attached.
-type shot struct {
-	status int
-	kind   string
-}
-
-// post fires one request, attaching the trace header and the class's
-// SLO headers when set. The returned error covers transport failures
-// only — HTTP-level rejections come back classified in the shot, and
-// the caller decides whether they are errors (no -mix) or expected
-// outcomes (sheds and expiries under a mix). Without a mix (sc nil), a
-// non-200 status is also returned as an error to keep the legacy
-// contract for warm-up and plain runs.
-func post(client *http.Client, url string, body []byte, traceID string, sc *sloClass) (shot, error) {
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return shot{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceID != "" {
-		req.Header.Set(serve.TraceHeader, traceID)
-	}
-	if sc != nil {
-		req.Header.Set(serve.ClassHeader, sc.name)
-		if sc.deadlineMS > 0 {
-			req.Header.Set(serve.DeadlineHeader, fmt.Sprintf("%g", sc.deadlineMS))
-		}
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return shot{}, err
-	}
-	defer resp.Body.Close()
-	sh := shot{status: resp.StatusCode}
-	if resp.StatusCode == http.StatusOK {
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return sh, err
-		}
-		return sh, nil
-	}
-	var eresp struct {
-		Kind string `json:"kind"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&eresp); err == nil {
-		sh.kind = eresp.Kind
-	}
-	io.Copy(io.Discard, resp.Body)
-	if sc == nil {
-		return sh, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	return sh, nil
-}
-
-// closedLoop runs `workers` goroutines that each fire the next request as
-// soon as the previous one returns.
-func closedLoop(workers int, deadline time.Time, fire func(i int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; time.Now().Before(deadline); i++ {
-				fire(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// openLoop fires requests on a fixed schedule regardless of completions
-// (up to a bounded number in flight), which measures latency under a
-// target arrival rate rather than a target concurrency.
-func openLoop(rate float64, deadline time.Time, fire func(i int)) {
-	interval := time.Duration(float64(time.Second) / rate)
-	sem := make(chan struct{}, 1024)
-	var wg sync.WaitGroup
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for i := 0; time.Now().Before(deadline); i++ {
-		<-tick.C
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fire(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// traceJoin samples 1-in-N requests with a client-chosen trace ID and,
-// after the run, joins each sampled request's client wall time against
-// the server-side span breakdown scraped from /debug/traces. IDs carry a
-// run-unique prefix so back-to-back runs against one server don't mix.
-type traceJoin struct {
-	every  int
-	prefix string
-	n      atomic.Uint64
-
-	mu   sync.Mutex
-	wall map[string]time.Duration
-}
-
-func newTraceJoin(every int) *traceJoin {
-	if every <= 0 {
-		return nil
-	}
-	return &traceJoin{
-		every:  every,
-		prefix: fmt.Sprintf("load%09x.", time.Now().UnixNano()&0xfffffffff),
-		wall:   map[string]time.Duration{},
-	}
-}
-
-// id returns the trace ID the next request should carry, or "" when that
-// request is unsampled. Safe on a nil receiver (tracing disabled).
-func (t *traceJoin) id() string {
-	if t == nil {
-		return ""
-	}
-	n := t.n.Add(1)
-	if n%uint64(t.every) != 0 {
-		return ""
-	}
-	return fmt.Sprintf("%s%d", t.prefix, n)
-}
-
-// record stores a sampled request's client-observed wall time.
-func (t *traceJoin) record(id string, wall time.Duration) {
-	if t == nil || id == "" {
-		return
-	}
-	t.mu.Lock()
-	t.wall[id] = wall
-	t.mu.Unlock()
-}
-
-// join scrapes /debug/traces and aggregates the server's spans for every
-// sampled request: wait/queue/http take the max across a trace's spans
-// (requeues re-emit them), exec/stage/hop sum (a sharded request spends
-// exec time in several stage spans). Returns nil when tracing is off;
-// logs and returns a partial report when the scrape fails, so a load run
-// never fails on the join.
-func (t *traceJoin) join(baseURL, model string) map[string]any {
-	if t == nil {
-		return nil
-	}
-	sampled := len(t.wall)
+// joinTraces scrapes /debug/traces and aggregates the server's spans for
+// every sampled request (trace ID -> client wall time):
+// wait/queue/http take the max across a trace's spans (requeues re-emit
+// them), exec/stage/hop sum (a sharded request spends exec time in
+// several stage spans). Logs and returns a partial report when the
+// scrape fails, so a load run never fails on the join.
+func joinTraces(baseURL, model string, wall map[string]time.Duration) map[string]any {
+	sampled := len(wall)
 	out := map[string]any{"sampled": sampled, "joined": 0}
 	if sampled == 0 {
 		return out
@@ -627,10 +224,7 @@ func (t *traceJoin) join(baseURL, model string) map[string]any {
 	maxPhases := map[string]bool{"http": true, "wait": true, "queue": true}
 	agg := map[string]map[string]time.Duration{} // trace ID -> phase -> ns
 	for _, sp := range body.Spans {
-		if !strings.HasPrefix(sp.TraceID, t.prefix) {
-			continue
-		}
-		if _, ours := t.wall[sp.TraceID]; !ours {
+		if _, ours := wall[sp.TraceID]; !ours {
 			continue
 		}
 		p := agg[sp.TraceID]
@@ -640,9 +234,7 @@ func (t *traceJoin) join(baseURL, model string) map[string]any {
 		}
 		d := time.Duration(sp.Dur)
 		if maxPhases[sp.Name] {
-			if d > p[sp.Name] {
-				p[sp.Name] = d
-			}
+			p[sp.Name] = max(p[sp.Name], d)
 		} else {
 			p[sp.Name] += d
 		}
@@ -651,7 +243,7 @@ func (t *traceJoin) join(baseURL, model string) map[string]any {
 	byPhase := map[string][]time.Duration{}
 	var walls []time.Duration
 	for id, phases := range agg {
-		walls = append(walls, t.wall[id])
+		walls = append(walls, wall[id])
 		for name, d := range phases {
 			byPhase[name] = append(byPhase[name], d)
 		}
@@ -661,18 +253,12 @@ func (t *traceJoin) join(baseURL, model string) map[string]any {
 		log.Printf("trace join: %d of %d sampled traces missing from /debug/traces (ring buffer wrapped? raise rtmap-serve -trace-buf)",
 			sampled-len(agg), sampled)
 	}
-	quantiles := func(ds []time.Duration) map[string]float64 {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		return map[string]float64{
-			"p50": percentileMS(ds, 0.50), "p95": percentileMS(ds, 0.95), "p99": percentileMS(ds, 0.99),
-		}
-	}
 	if len(walls) > 0 {
-		out["client_wall_ms"] = quantiles(walls)
+		out["client_wall_ms"] = quantilesMS(walls, "p50", "p95", "p99")
 	}
 	server := map[string]map[string]float64{}
 	for name, ds := range byPhase {
-		server[name] = quantiles(ds)
+		server[name] = quantilesMS(ds, "p50", "p95", "p99")
 	}
 	if len(server) > 0 {
 		out["server_phase_ms"] = server
@@ -680,27 +266,23 @@ func (t *traceJoin) join(baseURL, model string) map[string]any {
 	return out
 }
 
-type reportInput struct {
-	model      string
-	mode       string
-	bitExact   bool
-	batch      int
-	latencies  []time.Duration  // per-request wall time of 200s (retries included)
-	attempts   []time.Duration  // per-attempt wire round trips, every outcome
-	categories map[string]int64 // taxonomy tally across attempts
-	errs       int
-	rejected   int   // clean backpressure accepted as expected (mix or -rejects-ok)
-	retried    int64 // retry attempts fired under -retry
-	elapsed    time.Duration
-	trace      map[string]any         // traceJoin.join output; nil when -trace-sample is off
-	slo        map[string]*classTally // per-class ledger; nil when -mix is off
+// quantilesMS sorts ds and returns the named nearest-rank quantiles
+// ("p50", "p95", "p99", "max") in milliseconds.
+func quantilesMS(ds []time.Duration, names ...string) map[string]float64 {
+	slices.Sort(ds)
+	ps := map[string]float64{"p50": 0.50, "p95": 0.95, "p99": 0.99, "max": 1.0}
+	out := map[string]float64{}
+	for _, name := range names {
+		out[name] = trace.Percentile(ds, ps[name]).Seconds() * 1e3
+	}
+	return out
 }
 
 // inspectOnce fires one request and prints the server's batch accounting
 // for its first sample: the simulated device (or, for sharded models,
 // the pipeline stage count and device path) and the simulated cost.
-func inspectOnce(client *http.Client, url string, body []byte) error {
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+func inspectOnce(url string, body []byte) error {
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -726,90 +308,98 @@ func inspectOnce(client *http.Client, url string, body []byte) error {
 	return nil
 }
 
-// percentileMS returns the nearest-rank p-quantile of the sorted latency
-// slice in milliseconds: the smallest element with at least ceil(p·n)
-// observations at or below it. The index clamps to [0, n-1], so p=0,
-// p=1, and tiny samples (n=0/1/2) are all well-defined — the previous
-// int(p·(n-1)) truncation both drifted low for mid percentiles and
-// depended on float rounding to stay in range at p=1.
-func percentileMS(sorted []time.Duration, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return sorted[i].Seconds() * 1e3
+type reportInput struct {
+	model     string
+	mode      string
+	bitExact  bool
+	batch     int
+	mix       bool           // -mix set: sheds and expiries are expected per-class outcomes
+	rejectsOK bool           // every 429/503 is an expected rejection
+	trace     map[string]any // joinTraces output; nil when -trace-sample is off
 }
 
-func report(in reportInput, jsonOut bool, outFile string) {
-	sort.Slice(in.latencies, func(i, j int) bool { return in.latencies[i] < in.latencies[j] })
-	n := len(in.latencies)
-	pct := func(p float64) float64 { return percentileMS(in.latencies, p) }
+// report prints (or writes) the run's report and returns its error
+// count. Clean backpressure is an expected rejection under -rejects-ok
+// (any 429/503) or -mix (sheds and expiries); otherwise it fails the
+// run like any other non-200.
+func report(res *loadgen.Result, in reportInput, jsonOut bool, outFile string) int64 {
+	tot := res.Total
+	var rejected int64
+	if in.mix || in.rejectsOK {
+		rejected = tot.Shed + tot.Expired
+	}
+	if in.rejectsOK {
+		rejected += tot.Unavailable
+	}
+	errs := tot.Sent - tot.OK - rejected
+	elapsed := res.Elapsed.Seconds()
+	n := len(res.Latencies)
+	lat := quantilesMS(res.Latencies, "p50", "p95", "p99", "max")
 	var sum time.Duration
-	for _, d := range in.latencies {
+	for _, d := range res.Latencies {
 		sum += d
 	}
-	meanMS := 0.0
+	lat["mean"] = 0
 	if n > 0 {
-		meanMS = sum.Seconds() * 1e3 / float64(n)
+		lat["mean"] = sum.Seconds() * 1e3 / float64(n)
 	}
-	reqPerSec := float64(n) / in.elapsed.Seconds()
+	reqPerSec := float64(n) / elapsed
+	offered := float64(tot.Sent) / elapsed
 	out := map[string]any{
-		"model":       in.model,
-		"mode":        in.mode,
-		"bit_exact":   in.bitExact,
-		"batch":       in.batch,
-		"requests":    n,
-		"errors":      in.errs,
-		"rejected":    in.rejected,
-		"elapsed_s":   in.elapsed.Seconds(),
-		"req_per_s":   reqPerSec,
-		"infer_per_s": reqPerSec * float64(in.batch),
-		"latency_ms":  map[string]float64{"mean": meanMS, "p50": pct(0.50), "p95": pct(0.95), "p99": pct(0.99), "max": pct(1.0)},
+		"model":         in.model,
+		"mode":          in.mode,
+		"bit_exact":     in.bitExact,
+		"batch":         in.batch,
+		"requests":      n,
+		"errors":        errs,
+		"rejected":      rejected,
+		"mismatches":    res.Mismatches,
+		"elapsed_s":     elapsed,
+		"offered_per_s": offered,
+		"req_per_s":     reqPerSec,
+		"infer_per_s":   reqPerSec * float64(in.batch),
+		"latency_ms":    lat,
 	}
-	if len(in.categories) > 0 {
-		out["categories"] = in.categories
+	if len(res.Categories) > 0 {
+		out["categories"] = res.Categories
 	}
 	// Per-attempt latency diverges from per-request latency exactly when
 	// retries fired: each attempt is one wire round trip, the request is
 	// what the caller waited (attempts plus backoff).
-	if in.retried > 0 {
-		sort.Slice(in.attempts, func(i, j int) bool { return in.attempts[i] < in.attempts[j] })
-		apct := func(p float64) float64 { return percentileMS(in.attempts, p) }
-		out["retries"] = in.retried
-		out["attempts"] = len(in.attempts)
-		out["attempt_latency_ms"] = map[string]float64{
-			"p50": apct(0.50), "p95": apct(0.95), "p99": apct(0.99), "max": apct(1.0),
-		}
+	var attemptLat map[string]float64
+	if res.Retries > 0 {
+		attemptLat = quantilesMS(res.Attempts, "p50", "p95", "p99", "max")
+		out["retries"] = res.Retries
+		out["attempts"] = len(res.Attempts)
+		out["attempt_latency_ms"] = attemptLat
 	}
 	if in.trace != nil {
 		out["trace"] = in.trace
 	}
-	var goodputTotal int64
-	if in.slo != nil {
+	// A class's non-expected rejections (see report's doc) are failures.
+	shed := func(c *loadgen.Tally) int64 {
+		if in.rejectsOK {
+			return c.Shed + c.Unavailable
+		}
+		return c.Shed
+	}
+	if res.Classes != nil {
 		classes := map[string]any{}
-		for name, ct := range in.slo {
+		for name, c := range res.Classes {
 			classes[name] = map[string]any{
-				"deadline_ms": ct.deadlineMS,
-				"sent":        ct.sent,
-				"accepted":    ct.accepted,
-				"shed":        ct.shed,
-				"expired":     ct.expired,
-				"failed":      ct.failed,
-				"goodput":     ct.goodput,
+				"deadline_ms": c.DeadlineMS,
+				"sent":        c.Sent,
+				"accepted":    c.OK,
+				"shed":        shed(c),
+				"expired":     c.Expired,
+				"failed":      c.Sent - c.OK - shed(c) - c.Expired,
+				"goodput":     c.Goodput,
 			}
-			goodputTotal += ct.goodput
 		}
 		out["slo"] = map[string]any{
 			"classes":       classes,
-			"goodput":       goodputTotal,
-			"goodput_per_s": float64(goodputTotal) / in.elapsed.Seconds(),
+			"goodput":       tot.Goodput,
+			"goodput_per_s": float64(tot.Goodput) / elapsed,
 		}
 	}
 	if outFile != "" {
@@ -828,49 +418,34 @@ func report(in reportInput, jsonOut bool, outFile string) {
 		if err := enc.Encode(out); err != nil {
 			log.Fatal(err)
 		}
-		return
+		return errs
 	}
-	fmt.Printf("%s (%s loop, batch %d, bit_exact=%v): %d requests, %d rejected, %d errors in %.2fs\n",
-		in.model, in.mode, in.batch, in.bitExact, n, in.rejected, in.errs, in.elapsed.Seconds())
-	fmt.Printf("throughput: %.1f req/s (%.1f inferences/s)\n", reqPerSec, reqPerSec*float64(in.batch))
+	fmt.Printf("%s (%s loop, batch %d, bit_exact=%v): %d requests, %d rejected, %d errors, %d mismatches in %.2fs\n",
+		in.model, in.mode, in.batch, in.bitExact, n, rejected, errs, res.Mismatches, elapsed)
+	fmt.Printf("throughput: %.1f req/s (%.1f inferences/s) at %.1f req/s offered\n",
+		reqPerSec, reqPerSec*float64(in.batch), offered)
 	fmt.Printf("latency ms: mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
-		meanMS, pct(0.50), pct(0.95), pct(0.99), pct(1.0))
-	if nonOK := int64(len(in.attempts)) - in.categories["ok"]; nonOK > 0 {
-		names := make([]string, 0, len(in.categories))
-		for name := range in.categories {
-			if name != "ok" {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
+		lat["mean"], lat["p50"], lat["p95"], lat["p99"], lat["max"])
+	if nonOK := int64(len(res.Attempts)) - res.Categories["ok"]; nonOK > 0 {
 		fmt.Print("outcomes:")
-		for _, name := range names {
-			fmt.Printf("  %s %d", name, in.categories[name])
+		for _, name := range sortedKeys(res.Categories) {
+			if name != "ok" {
+				fmt.Printf("  %s %d", name, res.Categories[name])
+			}
 		}
 		fmt.Println()
 	}
-	if in.retried > 0 {
-		sort.Slice(in.attempts, func(i, j int) bool { return in.attempts[i] < in.attempts[j] })
-		apct := func(p float64) float64 { return percentileMS(in.attempts, p) }
+	if res.Retries > 0 {
 		fmt.Printf("retries: %d (%d attempts total); attempt latency ms: p50 %.2f  p95 %.2f  p99 %.2f\n",
-			in.retried, len(in.attempts), apct(0.50), apct(0.95), apct(0.99))
+			res.Retries, len(res.Attempts), attemptLat["p50"], attemptLat["p95"], attemptLat["p99"])
 	}
-	if in.slo != nil {
-		var sentTotal int64
-		for _, ct := range in.slo {
-			sentTotal += ct.sent
-		}
+	if res.Classes != nil {
 		fmt.Printf("goodput: %.1f req/s in-deadline (%d of %d sent)\n",
-			float64(goodputTotal)/in.elapsed.Seconds(), goodputTotal, sentTotal)
-		names := make([]string, 0, len(in.slo))
-		for name := range in.slo {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ct := in.slo[name]
+			float64(tot.Goodput)/elapsed, tot.Goodput, tot.Sent)
+		for _, name := range sortedKeys(res.Classes) {
+			c := res.Classes[name]
 			fmt.Printf("  %-11s deadline %6.1fms: sent %5d  ok %5d  goodput %5d  shed %5d  expired %5d  failed %3d\n",
-				name, ct.deadlineMS, ct.sent, ct.accepted, ct.goodput, ct.shed, ct.expired, ct.failed)
+				name, c.DeadlineMS, c.Sent, c.OK, c.Goodput, shed(c), c.Expired, c.Sent-c.OK-shed(c)-c.Expired)
 		}
 	}
 	if in.trace != nil {
@@ -886,4 +461,14 @@ func report(in reportInput, jsonOut bool, outFile string) {
 			fmt.Println()
 		}
 	}
+	return errs
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -207,22 +207,6 @@ type analysis struct {
 	Models []modelAnalysis `json:"models"`
 }
 
-// pct returns the nearest-rank p-quantile of a sorted ms slice.
-func pct(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return sorted[i]
-}
-
 func stats(name string, durs []float64) phaseStat {
 	sort.Float64s(durs)
 	sum := 0.0
@@ -235,7 +219,7 @@ func stats(name string, durs []float64) phaseStat {
 	}
 	return phaseStat{
 		Phase: name, Count: len(durs), MeanMS: mean,
-		P50MS: pct(durs, 0.50), P95MS: pct(durs, 0.95), P99MS: pct(durs, 0.99),
+		P50MS: trace.Percentile(durs, 0.50), P95MS: trace.Percentile(durs, 0.95), P99MS: trace.Percentile(durs, 0.99),
 	}
 }
 

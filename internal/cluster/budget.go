@@ -1,9 +1,11 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
+
+	"rtmap/internal/trace"
 )
 
 // RetryBudget is a per-model token bucket bounding retry (and hedge)
@@ -111,21 +113,9 @@ func (lw *latencyWindow) observe(d time.Duration) {
 
 // refreshLocked recomputes the memoized p95. Called with lw.mu held.
 func (lw *latencyWindow) refreshLocked() {
-	k := lw.n
-	if k > len(lw.samples) {
-		k = len(lw.samples)
-	}
-	if k == 0 {
-		return
-	}
-	lw.scratch = append(lw.scratch[:0], lw.samples[:k]...)
-	sort.Slice(lw.scratch, func(i, j int) bool { return lw.scratch[i] < lw.scratch[j] })
-	// Nearest-rank p95, clamped like rtmap-load's percentile.
-	i := (95*k + 99) / 100
-	if i < 1 {
-		i = 1
-	}
-	lw.p95 = lw.scratch[i-1]
+	lw.scratch = append(lw.scratch[:0], lw.samples[:min(lw.n, len(lw.samples))]...)
+	slices.Sort(lw.scratch)
+	lw.p95 = trace.Percentile(lw.scratch, 0.95)
 }
 
 // quantile95 returns the memoized p95 (0 until a sample exists).

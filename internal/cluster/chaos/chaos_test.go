@@ -7,6 +7,7 @@ import (
 
 	"rtmap/internal/cluster"
 	"rtmap/internal/dispatch"
+	"rtmap/internal/loadgen"
 	"rtmap/internal/serve"
 )
 
@@ -40,25 +41,36 @@ func testOptions() Options {
 	}
 }
 
-// driveDuring runs Drive in the background, hands control to body, then
-// stops the load and returns the report.
-func driveDuring(t *testing.T, c *Cluster, opts DriveOptions, body func()) *Report {
+// drive is the suite's load: closed-loop clients cycling tinycnn and
+// tinyresnet (seed 1, two samples per request) through the router,
+// every request carrying class when one is given.
+func drive(t *testing.T, c *Cluster, workers int, class string) loadgen.Options {
 	t.Helper()
+	var bodies []loadgen.Body
+	for _, m := range []string{"tinycnn", "tinyresnet"} {
+		sh, _ := serve.ZooShape(m)
+		b, err := loadgen.Bodies(serve.InferRequest{Model: m, Seed: 1}, sh, 1, 2, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, b...)
+	}
+	o := loadgen.Options{URL: c.RouterURL(), Bodies: bodies, Workers: workers, Timeout: 30 * time.Second}
+	if class != "" {
+		o.Classes = []loadgen.Class{{Name: class, Weight: 1}}
+	}
+	return o
+}
+
+// driveDuring runs the load in the background, hands control to body,
+// then stops the load and returns its ledger.
+func driveDuring(o loadgen.Options, body func()) *loadgen.Result {
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	var report *Report
-	var derr error
-	go func() {
-		defer close(done)
-		report, derr = c.Drive(ctx, opts)
-	}()
+	done := make(chan *loadgen.Result)
+	go func() { done <- loadgen.Run(ctx, o) }()
 	body()
 	cancel()
-	<-done
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	return report
+	return <-done
 }
 
 // waitState polls until the router's health table reads the node in the
@@ -94,14 +106,14 @@ func victimFor(t *testing.T, c *Cluster, model string) int {
 	return -1
 }
 
-func assertClean(t *testing.T, report *Report) {
+func assertClean(t *testing.T, res *loadgen.Result) {
 	t.Helper()
-	t.Logf("chaos load: %s (%v)", report, report.ByCategory)
-	if report.OK == 0 {
+	t.Logf("chaos load: %+v, %d checked, %d mismatches (%v)", res.Total, res.Checked, res.Mismatches, res.Categories)
+	if res.Total.OK == 0 {
 		t.Fatal("no request succeeded at all")
 	}
-	if !report.Clean() {
-		t.Fatalf("chaos gates violated: %s, samples: %v", report, report.Samples)
+	if res.Total.Failed != 0 || res.Mismatches != 0 {
+		t.Fatalf("chaos gates violated: %d failed, %d mismatches, samples: %v", res.Total.Failed, res.Mismatches, res.Samples)
 	}
 }
 
@@ -118,7 +130,7 @@ func TestChaosKillRestartMidLoad(t *testing.T) {
 	defer c.Close()
 
 	victim := victimFor(t, c, "tinycnn")
-	report := driveDuring(t, c, DriveOptions{Workers: 6}, func() {
+	report := driveDuring(drive(t, c, 6, ""), func() {
 		time.Sleep(700 * time.Millisecond) // warm both models on their owners
 
 		if err := c.Kill(victim); err != nil {
@@ -167,7 +179,7 @@ func TestChaosHangFault(t *testing.T) {
 	}
 	defer c.Close()
 
-	report := driveDuring(t, c, DriveOptions{Workers: 4}, func() {
+	report := driveDuring(drive(t, c, 4, ""), func() {
 		time.Sleep(600 * time.Millisecond)
 		c.Inject(1, cluster.Fault{Kind: cluster.FaultHang})
 		// Hung probes time out too, so health confirms the node down and
@@ -192,7 +204,7 @@ func TestChaosSlowFault(t *testing.T) {
 	}
 	defer c.Close()
 
-	report := driveDuring(t, c, DriveOptions{Workers: 4, Class: "interactive"}, func() {
+	report := driveDuring(drive(t, c, 4, "interactive"), func() {
 		time.Sleep(500 * time.Millisecond)
 		c.Inject(2, cluster.Fault{Kind: cluster.FaultSlow, Delay: 50 * time.Millisecond})
 		time.Sleep(time.Second)
@@ -215,7 +227,7 @@ func TestChaosPartitionHealsWithoutRestart(t *testing.T) {
 	}
 	defer c.Close()
 
-	report := driveDuring(t, c, DriveOptions{Workers: 4}, func() {
+	report := driveDuring(drive(t, c, 4, ""), func() {
 		time.Sleep(600 * time.Millisecond)
 		c.Inject(0, cluster.Fault{Kind: cluster.FaultPartition})
 		waitState(t, c, 0, cluster.StateDown, 5*time.Second)
@@ -239,7 +251,7 @@ func TestChaosFlapFault(t *testing.T) {
 	}
 	defer c.Close()
 
-	report := driveDuring(t, c, DriveOptions{Workers: 4}, func() {
+	report := driveDuring(drive(t, c, 4, ""), func() {
 		time.Sleep(600 * time.Millisecond)
 		c.Inject(1, cluster.Fault{Kind: cluster.FaultFlap, Period: 300 * time.Millisecond})
 		time.Sleep(2 * time.Second)
@@ -261,7 +273,7 @@ func TestChaosInteractiveHedgingUnderKill(t *testing.T) {
 	defer c.Close()
 
 	victim := victimFor(t, c, "tinycnn")
-	report := driveDuring(t, c, DriveOptions{Workers: 6, Class: "interactive"}, func() {
+	report := driveDuring(drive(t, c, 6, "interactive"), func() {
 		time.Sleep(700 * time.Millisecond)
 		if err := c.Kill(victim); err != nil {
 			t.Error(err)

@@ -9,9 +9,8 @@
 // faults — partition, hang, slow, flap — at the router's transport
 // without touching the node.
 //
-// Drive generates closed-loop load through the router and checks the
-// two cluster invariants the chaos suite gates on: accepted requests
-// are never dropped (every non-rejected answer is a well-formed 200),
-// and results are bit-exact no matter which node — or which retry or
-// hedge attempt — served them.
+// The suite drives RouterURL with internal/loadgen and gates on the two
+// cluster invariants: accepted requests are never dropped (every answer
+// is a 200 or clean 429/503 backpressure), and results are bit-exact no
+// matter which node — or which retry or hedge attempt — served them.
 package chaos

@@ -6,63 +6,15 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"rtmap/internal/serve"
 )
 
-// attemptBuckets are the upper bounds (seconds) of the attempt-latency
-// histogram (Prometheus classic layout, le="+Inf" implied).
+// attemptBuckets are the upper bounds (seconds) of the router's latency
+// histograms: serve's bounds plus le="10", since attempts can stall up
+// to their class timeout.
 var attemptBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 10,
-}
-
-// routerHist is one classic histogram over attemptBuckets (the serve
-// package has its own private copy of this shape; duplicating ~40 lines
-// beats exporting serving internals for the router's sake).
-type routerHist struct {
-	counts []int64
-	sum    float64
-	count  int64
-}
-
-func newRouterHist() routerHist {
-	return routerHist{counts: make([]int64, len(attemptBuckets)+1)}
-}
-
-func (h *routerHist) observe(s float64) {
-	i := len(attemptBuckets)
-	for j, ub := range attemptBuckets {
-		if s <= ub {
-			i = j
-			break
-		}
-	}
-	h.counts[i]++
-	h.sum += s
-	h.count++
-}
-
-func (h *routerHist) clone() routerHist {
-	return routerHist{counts: append([]int64(nil), h.counts...), sum: h.sum, count: h.count}
-}
-
-func (h *routerHist) write(w io.Writer, name, labels string) {
-	var cum int64
-	for i, ub := range attemptBuckets {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, labels, fmt.Sprintf("%g", ub), cum)
-	}
-	cum += h.counts[len(attemptBuckets)]
-	if cum != h.count {
-		panic(fmt.Sprintf("cluster: histogram %s{%s} +Inf count %d != observation count %d",
-			name, labels, cum, h.count))
-	}
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, h.count)
-		return
-	}
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels[:len(labels)-1], h.sum)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels[:len(labels)-1], h.count)
 }
 
 // attemptResultNames classify proxied attempts for the per-node counter.
@@ -81,10 +33,10 @@ const (
 type Metrics struct {
 	mu sync.Mutex
 
-	requests int64 // proxied /v1/infer requests
-	relayedOK int64
+	requests   int64 // proxied /v1/infer requests
+	relayedOK  int64
 	relayedErr int64 // requests answered with a router-generated error
-	sheds    int64 // all-owners-open/down 503s
+	sheds      int64 // all-owners-open/down 503s
 
 	retries         int64
 	hedges          int64
@@ -94,16 +46,16 @@ type Metrics struct {
 	// attempts[node][result] counts proxied attempts per node.
 	attempts map[string]map[string]int64
 
-	attemptLat routerHist // per-attempt wall time, all nodes
-	requestLat routerHist // per-request wall time through the router
+	attemptLat serve.Hist // per-attempt wall time, all nodes
+	requestLat serve.Hist // per-request wall time through the router
 }
 
 // NewMetrics returns an empty router metrics set.
 func NewMetrics() *Metrics {
 	return &Metrics{
 		attempts:   map[string]map[string]int64{},
-		attemptLat: newRouterHist(),
-		requestLat: newRouterHist(),
+		attemptLat: serve.NewHist(attemptBuckets),
+		requestLat: serve.NewHist(attemptBuckets),
 	}
 }
 
@@ -117,7 +69,7 @@ func (m *Metrics) ObserveRequest(wall time.Duration, ok bool) {
 	} else {
 		m.relayedErr++
 	}
-	m.requestLat.observe(wall.Seconds())
+	m.requestLat.Observe(wall.Seconds())
 }
 
 // ObserveAttempt records one proxied attempt against one node.
@@ -130,7 +82,7 @@ func (m *Metrics) ObserveAttempt(node, result string, wall time.Duration) {
 		m.attempts[node] = byNode
 	}
 	byNode[result]++
-	m.attemptLat.observe(wall.Seconds())
+	m.attemptLat.Observe(wall.Seconds())
 }
 
 // ObserveRetry, ObserveHedge, ObserveShed and ObserveBudgetExhausted
@@ -168,7 +120,7 @@ func (m *Metrics) Counters() (requests, retries, hedges, hedgeWins, sheds int64)
 func (m *Metrics) WritePrometheus(w io.Writer, health *Health, breakers *Breakers) {
 	m.mu.Lock()
 	snap := struct {
-		requests, relayedOK, relayedErr, sheds          int64
+		requests, relayedOK, relayedErr, sheds      int64
 		retries, hedges, hedgeWins, budgetExhausted int64
 	}{m.requests, m.relayedOK, m.relayedErr, m.sheds, m.retries, m.hedges, m.hedgeWins, m.budgetExhausted}
 	attempts := make(map[string]map[string]int64, len(m.attempts))
@@ -179,8 +131,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, health *Health, breakers *Breaker
 		}
 		attempts[n] = c
 	}
-	attemptLat := m.attemptLat.clone()
-	requestLat := m.requestLat.clone()
+	attemptLat := m.attemptLat.Clone()
+	requestLat := m.requestLat.Clone()
 	m.mu.Unlock()
 
 	fmt.Fprintf(w, "# TYPE rtmap_router_requests_total counter\nrtmap_router_requests_total %d\n", snap.requests)
@@ -241,7 +193,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, health *Health, breakers *Breaker
 	}
 
 	fmt.Fprintf(w, "# TYPE rtmap_router_attempt_seconds histogram\n")
-	attemptLat.write(w, "rtmap_router_attempt_seconds", "")
+	attemptLat.Write(w, "rtmap_router_attempt_seconds", "")
 	fmt.Fprintf(w, "# TYPE rtmap_router_request_seconds histogram\n")
-	requestLat.write(w, "rtmap_router_request_seconds", "")
+	requestLat.Write(w, "rtmap_router_request_seconds", "")
 }

@@ -15,25 +15,28 @@ var latencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// hist is one classic Prometheus histogram over latencyBuckets.
+// Hist is one classic Prometheus histogram over ascending upper bounds
+// (seconds, le="+Inf" implied); the router's histograms share it.
 // Observations are stored per-bucket and accumulated into cumulative
 // counts at render time; the +Inf line is cross-checked against the
 // observation count so a storage/render mismatch can never ship a
 // histogram whose buckets disagree with its _count.
-type hist struct {
-	counts []int64 // per-bucket; counts[len(latencyBuckets)] is the overflow
+type Hist struct {
+	bounds []float64
+	counts []int64 // per-bucket; counts[len(bounds)] is the overflow
 	sum    float64
 	count  int64
 }
 
-func newHist() hist {
-	return hist{counts: make([]int64, len(latencyBuckets)+1)}
+// NewHist returns an empty histogram over bounds.
+func NewHist(bounds []float64) Hist {
+	return Hist{bounds: bounds, counts: make([]int64, len(bounds)+1)}
 }
 
-// observe records one measurement in seconds.
-func (h *hist) observe(s float64) {
-	i := len(latencyBuckets)
-	for j, ub := range latencyBuckets {
+// Observe records one measurement in seconds.
+func (h *Hist) Observe(s float64) {
+	i := len(h.bounds)
+	for j, ub := range h.bounds {
 		if s <= ub {
 			i = j
 			break
@@ -44,24 +47,24 @@ func (h *hist) observe(s float64) {
 	h.count++
 }
 
-// clone snapshots the histogram for render outside the metrics lock.
-func (h *hist) clone() hist {
-	return hist{counts: append([]int64(nil), h.counts...), sum: h.sum, count: h.count}
+// Clone snapshots the histogram for render outside the metrics lock.
+func (h *Hist) Clone() Hist {
+	return Hist{bounds: h.bounds, counts: append([]int64(nil), h.counts...), sum: h.sum, count: h.count}
 }
 
-// write renders the histogram's bucket/sum/count series. name is the
+// Write renders the histogram's bucket/sum/count series. name is the
 // metric family; labels, when non-empty, is a comma-terminated label
 // prefix (e.g. `phase="wait",`) composed with the le label. The
 // cumulative +Inf count must equal the observation count — a mismatch
 // means the bucket accounting broke, an internal invariant per the
 // panic-vs-error boundary in docs/ARCHITECTURE.md.
-func (h *hist) write(w io.Writer, name, labels string) {
+func (h *Hist) Write(w io.Writer, name, labels string) {
 	var cum int64
-	for i, ub := range latencyBuckets {
+	for i, ub := range h.bounds {
 		cum += h.counts[i]
 		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, labels, fmt.Sprintf("%g", ub), cum)
 	}
-	cum += h.counts[len(latencyBuckets)]
+	cum += h.counts[len(h.bounds)]
 	if cum != h.count {
 		panic(fmt.Sprintf("serve: histogram %s{%s} +Inf count %d != observation count %d",
 			name, labels, cum, h.count))
@@ -149,20 +152,20 @@ type Metrics struct {
 	scaleUps       int64
 	scaleDowns     int64
 
-	lat hist // whole-request wall time
+	lat Hist // whole-request wall time
 
 	// phases decomposes request wall time per delivered item, indexed
 	// like phaseNames; stageExec attributes execution wall time to
 	// pipeline stages (index 0 doubles as the unsharded exec histogram),
 	// grown on demand to the deepest stage observed.
-	phases    [len(phaseNames)]hist
-	stageExec []hist
+	phases    [len(phaseNames)]Hist
+	stageExec []Hist
 }
 
 func NewMetrics() *Metrics {
-	m := &Metrics{lat: newHist()}
+	m := &Metrics{lat: NewHist(latencyBuckets)}
 	for i := range m.phases {
-		m.phases[i] = newHist()
+		m.phases[i] = NewHist(latencyBuckets)
 	}
 	return m
 }
@@ -177,7 +180,7 @@ func (m *Metrics) ObserveRequest(wall time.Duration, samples int, failed bool) {
 	if failed {
 		m.errors++
 	}
-	m.lat.observe(s)
+	m.lat.Observe(s)
 }
 
 // ObserveItemPhases records one delivered item's wall-time
@@ -186,9 +189,9 @@ func (m *Metrics) ObserveRequest(wall time.Duration, samples int, failed bool) {
 func (m *Metrics) ObserveItemPhases(wait, queue, exec time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.phases[0].observe(wait.Seconds())
-	m.phases[1].observe(queue.Seconds())
-	m.phases[2].observe(exec.Seconds())
+	m.phases[0].Observe(wait.Seconds())
+	m.phases[1].Observe(queue.Seconds())
+	m.phases[2].Observe(exec.Seconds())
 }
 
 // ObserveExec attributes one batch's execution wall time to a pipeline
@@ -200,9 +203,9 @@ func (m *Metrics) ObserveExec(stage int, wall time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for len(m.stageExec) <= stage {
-		m.stageExec = append(m.stageExec, newHist())
+		m.stageExec = append(m.stageExec, NewHist(latencyBuckets))
 	}
-	m.stageExec[stage].observe(wall.Seconds())
+	m.stageExec[stage].Observe(wall.Seconds())
 }
 
 // ObserveBatch records one batch dispatched to a device.
@@ -309,14 +312,14 @@ func (m *Metrics) WritePrometheus(w io.Writer, extra func(io.Writer)) {
 	slo := m.slo
 	deadlineMet, deadlineMissed := m.deadlineMet, m.deadlineMissed
 	scaleUps, scaleDowns := m.scaleUps, m.scaleDowns
-	lat := m.lat.clone()
-	var phases [len(phaseNames)]hist
+	lat := m.lat.Clone()
+	var phases [len(phaseNames)]Hist
 	for i := range m.phases {
-		phases[i] = m.phases[i].clone()
+		phases[i] = m.phases[i].Clone()
 	}
-	stageExec := make([]hist, len(m.stageExec))
+	stageExec := make([]Hist, len(m.stageExec))
 	for i := range m.stageExec {
-		stageExec[i] = m.stageExec[i].clone()
+		stageExec[i] = m.stageExec[i].Clone()
 	}
 	m.mu.Unlock()
 
@@ -363,17 +366,17 @@ func (m *Metrics) WritePrometheus(w io.Writer, extra func(io.Writer)) {
 	fmt.Fprintf(w, "rtmap_scaler_decisions_total{direction=\"down\"} %d\n", scaleDowns)
 
 	fmt.Fprintf(w, "# TYPE rtmap_request_seconds histogram\n")
-	lat.write(w, "rtmap_request_seconds", "")
+	lat.Write(w, "rtmap_request_seconds", "")
 
 	fmt.Fprintf(w, "# TYPE rtmap_request_phase_seconds histogram\n")
 	for i, name := range phaseNames {
-		phases[i].write(w, "rtmap_request_phase_seconds", fmt.Sprintf("phase=%q,", name))
+		phases[i].Write(w, "rtmap_request_phase_seconds", fmt.Sprintf("phase=%q,", name))
 	}
 
 	if len(stageExec) > 0 {
 		fmt.Fprintf(w, "# TYPE rtmap_stage_exec_seconds histogram\n")
 		for i := range stageExec {
-			stageExec[i].write(w, "rtmap_stage_exec_seconds", fmt.Sprintf("stage=\"%d\",", i))
+			stageExec[i].Write(w, "rtmap_stage_exec_seconds", fmt.Sprintf("stage=\"%d\",", i))
 		}
 	}
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -30,7 +31,11 @@ func testServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		if err := s.Shutdown(t.Context()); err != nil {
+		// Not t.Context(): it is already cancelled when cleanups run, which
+		// would fail the drain whenever a batch is still finishing.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	})

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -185,4 +187,18 @@ func NewID() string {
 		return fmt.Sprintf("t%015x", idCounter.Add(1))
 	}
 	return hex.EncodeToString(b[:])
+}
+
+// Percentile returns the nearest-rank p-quantile of an ascending slice:
+// the smallest element with at least ceil(p·n) observations at or below
+// it. The rank clamps to [1, n], so p=0, p=1 and tiny samples (n=0/1/2)
+// are all well-defined; an empty slice yields the zero value.
+func Percentile[T cmp.Ordered](sorted []T, p float64) T {
+	var zero T
+	n := len(sorted)
+	if n == 0 {
+		return zero
+	}
+	i := min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)
+	return sorted[i]
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 )
 
 func TestRingWrapOldestFirst(t *testing.T) {
@@ -115,4 +116,46 @@ func TestFlushWithoutSink(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("Flush without sink: %v", err)
 	}
+}
+
+// Nearest-rank percentiles over tiny samples: every p must stay in
+// range and follow the ceil(p·n)-1 definition.
+func TestPercentileNearestRank(t *testing.T) {
+	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+	cases := []struct {
+		name   string
+		sorted []time.Duration
+		p      float64
+		want   float64 // ms
+	}{
+		{"empty", nil, 0.99, 0},
+		{"empty max", nil, 1.0, 0},
+		{"n=1 p0", []time.Duration{ms(5)}, 0, 5},
+		{"n=1 p50", []time.Duration{ms(5)}, 0.5, 5},
+		{"n=1 max", []time.Duration{ms(5)}, 1.0, 5},
+		{"n=2 p50 is the lower rank", []time.Duration{ms(1), ms(9)}, 0.5, 1},
+		{"n=2 p95", []time.Duration{ms(1), ms(9)}, 0.95, 9},
+		{"n=2 max", []time.Duration{ms(1), ms(9)}, 1.0, 9},
+		{"n=2 p0 clamps low", []time.Duration{ms(1), ms(9)}, 0, 1},
+		// ceil(0.5·4)-1 = 1: the 2nd of 4 observations.
+		{"n=4 p50", []time.Duration{ms(1), ms(2), ms(3), ms(4)}, 0.5, 2},
+		// ceil(0.99·100)-1 = 98 — the old int(p·(n-1)) truncation hit 98
+		// too, but ceil(0.95·100)-1 = 94 vs the old 94.05→94; the
+		// definitions diverge at e.g. p=0.9: ceil(90)-1 = 89 vs 89.1→89.
+		{"n=100 p99", ramp(ms, 100), 0.99, 99},
+		{"n=100 max in range", ramp(ms, 100), 1.0, 100},
+	}
+	for _, tc := range cases {
+		if got := Percentile(tc.sorted, tc.p).Seconds() * 1e3; got != tc.want {
+			t.Errorf("%s: Percentile(p=%g) = %g ms, want %g", tc.name, tc.p, got, tc.want)
+		}
+	}
+}
+
+func ramp(ms func(float64) time.Duration, n int) []time.Duration {
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = ms(float64(i + 1))
+	}
+	return out
 }
