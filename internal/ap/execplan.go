@@ -19,14 +19,18 @@ import "fmt"
 //     copied column fuses into one row pass;
 //   - the columns that must read as zero at entry (read before written)
 //     are recorded, so machine reuse clears only those instead of the
-//     whole arena.
+//     whole arena;
+//   - the same range analysis picks a lane layout: when it proves every
+//     value the machine can observe fits a 16-, 21- or 32-bit lane, the
+//     machine packs 4, 3 or 2 rows into each int64 word (see lanes).
 //
 // An ExecPlan is immutable and safe to share: the functional simulator
 // builds one per TileProgram (memoized, and shared further through the
 // compiled-artifact cache) and replays it from many goroutines at once
 // through per-worker Machines. Machine execution is bit-identical to
-// WordMachine.Run — TestMachineMatchesWordRandomPrograms proves it over
-// randomized programs.
+// WordMachine.Run — TestMachineMatchesWordRandomPrograms and, for every
+// lane layout, TestPackedMachineMatchesWord prove it over randomized
+// programs.
 type ExecPlan struct {
 	cols []Col
 	ops  []planOp
@@ -38,6 +42,16 @@ type ExecPlan struct {
 	// these on arena reuse — programs fully write everything else before
 	// looking at it, so stale rows from a previous plan are unobservable.
 	zero []int32
+	// lanes rows share one int64 word, each in a laneBits-wide lane: row
+	// r lives in lane r%lanes of word r/lanes, and a word holds
+	// P = Σ vᵢ·2^(laneBits·i) mod 2⁶⁴. That encoding is a ring
+	// homomorphism for +, − and negation, so every mask-free op of Run
+	// yields exactly the packed per-row results. chooseLanes packs only
+	// when no op but a clear wraps and every observable value provably
+	// fits a lane; otherwise lanes is 1 and laneBits 64, the unpacked
+	// layout.
+	lanes    int
+	laneBits int
 }
 
 // planKind discriminates the resolved operation variants of a planOp.
@@ -169,8 +183,9 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 		}
 		plan.ops = append(plan.ops, op)
 	}
-	plan.analyzeRanges()
-	plan.findZeroCols()
+	lo, hi := plan.analyzeRanges()
+	written := plan.findZeroCols()
+	plan.chooseLanes(lo, hi, written)
 	return plan, nil
 }
 
@@ -180,6 +195,10 @@ func (p *ExecPlan) Columns() int { return len(p.cols) }
 // Ops returns the resolved operation count (fusion can make it smaller
 // than the source program's instruction count).
 func (p *ExecPlan) Ops() int { return len(p.ops) }
+
+// Lanes returns how many rows the plan's machine packs into one int64
+// word (1 when the range analysis cannot prove a packed layout sound).
+func (p *ExecPlan) Lanes() int { return p.lanes }
 
 // rangeSat bounds the interval analysis so interval arithmetic can never
 // overflow int64 (sums of two in-bound endpoints stay below 2^62).
@@ -238,34 +257,45 @@ func fitsFormat(l, h int64, w int, unsigned bool) bool {
 // loads wrap to each column's format before Run, and unwritten columns
 // are zero, so every column starts inside its format range. An op that
 // may wrap resets its destination to the full format interval, exactly
-// matching the truncating execution path.
-func (plan *ExecPlan) analyzeRanges() {
+// matching the truncating execution path. It returns the hull [spanLo,
+// spanHi] of every value an op stores, for chooseLanes.
+func (plan *ExecPlan) analyzeRanges() (spanLo, spanHi int64) {
 	n := len(plan.cols)
 	lo := make([]int64, n)
 	hi := make([]int64, n)
 	for c, col := range plan.cols {
 		lo[c], hi[c] = formatRange(col.Width, col.Unsigned)
 	}
+	store := func(c int32, l, h int64) {
+		lo[c], hi[c] = l, h
+		spanLo, spanHi = min(spanLo, l), max(spanHi, h)
+	}
 	for i := range plan.ops {
 		op := &plan.ops[i]
 		w := int(op.width)
 		switch op.kind {
 		case planClear:
-			lo[op.dst], hi[op.dst] = 0, 0
+			store(op.dst, 0, 0)
 		case planCopy:
-			if op.wide() || fitsFormat(lo[op.a], hi[op.a], w, op.unsigned()) {
+			l, h := lo[op.a], hi[op.a]
+			if op.wide() || fitsFormat(l, h, w, op.unsigned()) {
 				op.flags |= flagWide
-				lo[op.dst], hi[op.dst] = lo[op.a], hi[op.a]
 			} else {
-				lo[op.dst], hi[op.dst] = formatRange(w, op.unsigned())
+				l, h = formatRange(w, op.unsigned())
 			}
+			store(op.dst, l, h)
 		case planCopyMulti:
+			wide := true
 			for _, cd := range plan.multi[op.ext] {
-				if op.wide() || fitsFormat(lo[op.a], hi[op.a], w, cd.unsigned) {
-					lo[cd.col], hi[cd.col] = lo[op.a], hi[op.a]
-				} else {
-					lo[cd.col], hi[cd.col] = formatRange(w, cd.unsigned)
+				l, h := lo[op.a], hi[op.a]
+				if !op.wide() && !fitsFormat(l, h, w, cd.unsigned) {
+					wide = false
+					l, h = formatRange(w, cd.unsigned)
 				}
+				store(cd.col, l, h)
+			}
+			if wide {
+				op.flags |= flagWide
 			}
 		case planAdd, planSub, planNeg:
 			var l, h int64
@@ -279,10 +309,10 @@ func (plan *ExecPlan) analyzeRanges() {
 			}
 			if op.wide() || fitsFormat(l, h, w, false) {
 				op.flags |= flagWide
-				lo[op.dst], hi[op.dst] = l, h
 			} else {
-				lo[op.dst], hi[op.dst] = formatRange(w, false)
+				l, h = formatRange(w, false)
 			}
+			store(op.dst, l, h)
 		case planFused:
 			l, h := lo[op.a], hi[op.a]
 			ok := op.wide() || fitsFormat(l, h, w, op.unsigned())
@@ -303,16 +333,54 @@ func (plan *ExecPlan) analyzeRanges() {
 			if ok {
 				op.flags |= flagWide
 			}
-			lo[op.dst], hi[op.dst] = l, h
+			store(op.dst, l, h)
+		}
+	}
+	return spanLo, spanHi
+}
+
+// chooseLanes picks the densest lane layout the range analysis proves
+// sound: 4×16, 3×21 or 2×32 bits, else the unpacked 1×64. Packing needs
+// two facts. First, every op other than a clear is wide, so Run never
+// masks a word and the homomorphism of the packed encoding carries
+// every result exactly. Second, every value the machine can be asked to
+// decode fits a signed lane: the hull [lo, hi] of the ops' stored
+// intervals, plus the entry format range of every column whose entry
+// value is observable — read before any write (a load or the reset
+// zero), or never written at all.
+func (plan *ExecPlan) chooseLanes(lo, hi int64, written []bool) {
+	plan.lanes, plan.laneBits = 1, 64
+	for i := range plan.ops {
+		if op := &plan.ops[i]; op.kind != planClear && !op.wide() {
+			return
+		}
+	}
+	entry := func(c int) {
+		l, h := formatRange(plan.cols[c].Width, plan.cols[c].Unsigned)
+		lo, hi = min(lo, l), max(hi, h)
+	}
+	for _, c := range plan.zero {
+		entry(int(c))
+	}
+	for c := range plan.cols {
+		if !written[c] {
+			entry(c)
+		}
+	}
+	for lanes := 4; lanes > 1; lanes-- {
+		if fitsFormat(lo, hi, 64/lanes, false) {
+			plan.lanes, plan.laneBits = lanes, 64/lanes
+			return
 		}
 	}
 }
 
 // findZeroCols records every column read before it is written (in op
 // order); loads may overwrite them afterwards, but an unloaded slot — a
-// strip tail's unused plane, say — must read as zero.
-func (plan *ExecPlan) findZeroCols() {
-	written := make([]bool, len(plan.cols))
+// strip tail's unused plane, say — must read as zero. It returns which
+// columns some op writes.
+func (plan *ExecPlan) findZeroCols() (written []bool) {
+	written = make([]bool, len(plan.cols))
 	queued := make([]bool, len(plan.cols))
 	read := func(c int32) {
 		if !written[c] && !queued[c] {
@@ -348,6 +416,7 @@ func (plan *ExecPlan) findZeroCols() {
 			written[op.dst] = true
 		}
 	}
+	return written
 }
 
 // maskSign derives the wrap constants of a non-wide op.
@@ -355,15 +424,70 @@ func (op *planOp) maskSign() (mask, sign int64) {
 	return int64(1)<<op.width - 1, int64(1) << (op.width - 1)
 }
 
+// laneCodec holds the constants of a plan's lane layout: n lanes of bits
+// each. Adding bias (2^(bits-1) in every lane) lifts each signed lane
+// value v to v+2^(bits-1) ∈ [0, 2^bits), so the lanes of a biased word
+// are disjoint bit fields and decode independently — no borrow ripples
+// from one lane into the next. The 1×64 layout is the degenerate case:
+// every shift by 64 yields 0 and the bias cancels, so words hold rows
+// unchanged.
+type laneCodec struct {
+	n    int
+	bits uint
+	mask uint64 // one lane's bits
+	bias uint64
+	half int64
+}
+
+func newLaneCodec(lanes, bits int) laneCodec {
+	lc := laneCodec{n: lanes, bits: uint(bits)}
+	lc.mask = uint64(1)<<lc.bits - 1
+	lc.half = int64(1) << (lc.bits - 1)
+	for j := 0; j < lanes; j++ {
+		lc.bias += uint64(lc.half) << (lc.bits * uint(j))
+	}
+	return lc
+}
+
+// lane decodes lane j of word w.
+func (lc *laneCodec) lane(w int64, j int) int64 {
+	return int64((uint64(w)+lc.bias)>>(lc.bits*uint(j))&lc.mask) - lc.half
+}
+
+// setLane overwrites lane j of *w with v by adding the difference to the
+// lane's current value: the lanes below keep their bits, and the lanes
+// above decode as before because every lane holds a fitting value.
+func (lc *laneCodec) setLane(w *int64, j int, v int64) {
+	*w += (v - lc.lane(*w, j)) << (lc.bits * uint(j))
+}
+
+// unpackAdd adds the n lanes of each word of src to the next n values of
+// dst, one lane per pass like packWords.
+//
+//rtmap:noalloc
+func (lc *laneCodec) unpackAdd(dst []int32, src []int64) {
+	n, bias, mask, half := lc.n, lc.bias, lc.mask, lc.half
+	dst = dst[:len(src)*n]
+	for j := 0; j < n; j++ {
+		sh := lc.bits * uint(j) & 63
+		for k, w := range src {
+			dst[k*n+j] += int32(int64((uint64(w)+bias)>>sh&mask) - half)
+		}
+	}
+}
+
 // Machine executes an ExecPlan over reusable column storage. Unlike
 // WordMachine it allocates nothing per execution: Reset rebinds the same
 // flat arena to a (plan, rows) pair, growing the backing slices only when
 // a larger shape arrives, so a worker that replays many programs reaches
-// an allocation-free steady state. A Machine is not safe for concurrent
-// use; share plans, not machines.
+// an allocation-free steady state. Each column holds ⌈rows/lanes⌉ words
+// in the plan's lane layout; only the load and read methods see lanes,
+// Run works on whole words. A Machine is not safe for concurrent use;
+// share plans, not machines.
 type Machine struct {
 	plan  *ExecPlan
 	rows  int
+	lc    laneCodec
 	flat  []int64
 	vals  [][]int64
 	links [][]int64 // scratch: fused-chain operand slices
@@ -381,7 +505,8 @@ func (m *Machine) Reset(plan *ExecPlan, rows int) {
 		panic(fmt.Sprintf("ap: machine reset with %d rows", rows))
 	}
 	nc := len(plan.cols)
-	need := nc * rows
+	words := (rows + plan.lanes - 1) / plan.lanes
+	need := nc * words
 	fresh := cap(m.flat) < need
 	if fresh {
 		m.flat = make([]int64, need)
@@ -394,7 +519,7 @@ func (m *Machine) Reset(plan *ExecPlan, rows int) {
 		m.vals = m.vals[:nc]
 	}
 	for c := 0; c < nc; c++ {
-		m.vals[c] = m.flat[c*rows : (c+1)*rows : (c+1)*rows]
+		m.vals[c] = m.flat[c*words : (c+1)*words : (c+1)*words]
 	}
 	if !fresh {
 		for _, c := range plan.zero {
@@ -402,6 +527,7 @@ func (m *Machine) Reset(plan *ExecPlan, rows int) {
 		}
 	}
 	m.plan, m.rows = plan, rows
+	m.lc = newLaneCodec(plan.lanes, plan.laneBits)
 }
 
 // Rows returns the active row count.
@@ -410,33 +536,70 @@ func (m *Machine) Rows() int { return m.rows }
 // SetColumnInt32 stores vals into rows [row0, row0+len(vals)) of col,
 // wrapped to the column's stored format — the in-place counterpart of
 // WordMachine.SetColumn for batched loads that address one row segment
-// per batch item.
+// per batch item. Whole words are packed straight from vals; rows that
+// share a word with rows outside the segment are merged lane by lane.
 //
 //rtmap:noalloc
 func (m *Machine) SetColumnInt32(col, row0 int, vals []int32) {
-	if row0 < 0 || row0+len(vals) > m.rows {
+	end := row0 + len(vals)
+	if row0 < 0 || end > m.rows {
 		panic(fmt.Sprintf("ap: SetColumnInt32 rows [%d,%d) outside machine rows %d",
-			row0, row0+len(vals), m.rows))
+			row0, end, m.rows))
 	}
+	// x&mask − ((x&mask)&sign)<<1 is wrap() for every format: sign is 0
+	// for unsigned columns, and from 63 bits up the mask keeps everything.
 	meta := m.plan.cols[col]
-	dst := m.vals[col][row0 : row0+len(vals)]
-	if meta.Width >= 63 {
-		for i, v := range vals {
-			dst[i] = int64(v)
+	mask, sign := int64(-1), int64(0)
+	if meta.Width < 63 {
+		mask = int64(1)<<uint(meta.Width) - 1
+		if !meta.Unsigned {
+			sign = int64(1) << uint(meta.Width-1)
+		}
+	}
+	lc := &m.lc
+	n, bits := lc.n, lc.bits
+	words := m.vals[col]
+	r := row0
+	for ; r < end && r%n != 0; r++ {
+		x := int64(vals[r-row0]) & mask
+		lc.setLane(&words[r/n], r%n, x-(x&sign)<<1)
+	}
+	full := (end - r) / n
+	packWords(words[r/n:r/n+full], vals[r-row0:r-row0+full*n], n, bits, mask, sign)
+	for r += full * n; r < end; r++ {
+		x := int64(vals[r-row0]) & mask
+		lc.setLane(&words[r/n], r%n, x-(x&sign)<<1)
+	}
+}
+
+// packWords fills each word of dst with the next n values of src,
+// wrapped by (mask, sign): lane 0 is stored, and each higher lane j is
+// added in its own pass, shifted by bits·j, so at n = 1 this is the
+// plain wrapping copy. The 4×16 layout, which every plan of the model
+// zoo at 4-bit activations uses, packs each word in one step with
+// constant shifts instead.
+//
+//rtmap:noalloc
+func packWords(dst []int64, src []int32, n int, bits uint, mask, sign int64) {
+	src = src[:len(dst)*n]
+	if n == 4 {
+		for k := range dst {
+			s := src[4*k : 4*k+4 : 4*k+4]
+			x0, x1, x2, x3 := int64(s[0])&mask, int64(s[1])&mask, int64(s[2])&mask, int64(s[3])&mask
+			dst[k] = x0 - (x0&sign)<<1 + (x1-(x1&sign)<<1)<<16 + (x2-(x2&sign)<<1)<<32 + (x3-(x3&sign)<<1)<<48
 		}
 		return
 	}
-	mask := int64(1)<<uint(meta.Width) - 1
-	if meta.Unsigned {
-		for i, v := range vals {
-			dst[i] = int64(v) & mask
-		}
-		return
+	for k := range dst {
+		x := int64(src[k*n]) & mask
+		dst[k] = x - (x&sign)<<1
 	}
-	sign := int64(1) << uint(meta.Width-1)
-	for i, v := range vals {
-		w := int64(v) & mask
-		dst[i] = w - (w&sign)<<1
+	for j := 1; j < n; j++ {
+		sh := bits * uint(j) & 63
+		for k := range dst {
+			x := int64(src[k*n+j]) & mask
+			dst[k] += (x - (x&sign)<<1) << sh
+		}
 	}
 }
 
@@ -446,13 +609,22 @@ func (m *Machine) SetColumnInt32(col, row0 int, vals []int32) {
 //
 //rtmap:noalloc
 func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
-	if row0 < 0 || row0+len(dst) > m.rows {
+	end := row0 + len(dst)
+	if row0 < 0 || end > m.rows {
 		panic(fmt.Sprintf("ap: AccumulateColumn rows [%d,%d) outside machine rows %d",
-			row0, row0+len(dst), m.rows))
+			row0, end, m.rows))
 	}
-	src := m.vals[col][row0 : row0+len(dst)]
-	for i, v := range src {
-		dst[i] += int32(v)
+	lc := &m.lc
+	n := lc.n
+	words := m.vals[col]
+	r := row0
+	for ; r < end && r%n != 0; r++ {
+		dst[r-row0] += int32(lc.lane(words[r/n], r%n))
+	}
+	full := (end - r) / n
+	lc.unpackAdd(dst[r-row0:r-row0+full*n], words[r/n:r/n+full])
+	for r += full * n; r < end; r++ {
+		dst[r-row0] += int32(lc.lane(words[r/n], r%n))
 	}
 }
 
@@ -460,7 +632,9 @@ func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
 // hot path uses AccumulateColumn).
 func (m *Machine) Column(col int) []int64 {
 	out := make([]int64, m.rows)
-	copy(out, m.vals[col])
+	for r := range out {
+		out[r] = m.lc.lane(m.vals[col][r/m.lc.n], r%m.lc.n)
+	}
 	return out
 }
 

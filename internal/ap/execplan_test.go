@@ -1,6 +1,7 @@
 package ap
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -348,6 +349,228 @@ func TestSetColumnInt32AndAccumulate(t *testing.T) {
 	for i, v := range acc {
 		if v != 115 {
 			t.Fatalf("acc[%d] = %d, want 115", i, v)
+		}
+	}
+}
+
+// BenchmarkMachineLoad measures the load → run → read cycle the batched
+// simulator drives per tile program: 32 unsigned 4-bit input columns
+// summed into one accumulator. A 12-bit accumulator provably never
+// wraps, so the plan packs 4 lanes; an 8-bit one may wrap, so it stays
+// at 1 lane. Row counts cover ResNet-18's 7×7 and 28×28 output planes.
+func BenchmarkMachineLoad(b *testing.B) {
+	const inputs = 32
+	for _, accW := range []int{8, 12} {
+		widths := make([]int, inputs+1)
+		unsigned := make([]bool, inputs+1)
+		for i := 0; i < inputs; i++ {
+			widths[i], unsigned[i] = 4, true
+		}
+		widths[inputs] = accW
+		p := buildProgram(widths, unsigned)
+		acc := inputs + 1
+		p.Instrs = append(p.Instrs, Instr{Op: OpClear, Dst: acc, Width: accW})
+		for c := 1; c <= inputs; c++ {
+			p.Instrs = append(p.Instrs, Instr{Op: OpAdd, Dst: acc, A: c, B: acc, InPlace: true, Width: accW})
+		}
+		plan, err := NewExecPlan(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rows := range []int{49, 784} {
+			src := make([]int32, rows)
+			for r := range src {
+				src[r] = int32(r % 16)
+			}
+			out := make([]int32, rows)
+			b.Run(fmt.Sprintf("lanes%d/rows%d", plan.Lanes(), rows), func(b *testing.B) {
+				var m Machine
+				for i := 0; i < b.N; i++ {
+					m.Reset(plan, rows)
+					for c := 1; c <= inputs; c++ {
+						m.SetColumnInt32(c, 0, src)
+					}
+					m.Run()
+					m.AccumulateColumn(acc, 0, out)
+				}
+			})
+		}
+	}
+}
+
+// randomPackedProgram generates a valid program the range analysis can
+// usually prove mask-free: source columns of srcBits bits feed signed
+// accumulators 8 bits wider, which the program clears before use (as
+// the code generator does). srcBits steers the lane layout — narrow
+// sources pack 4×16, wider ones 3×21 or 2×32, and sources beyond 32
+// bits (or an accumulation chain that outgrows its column) leave the
+// plan unpacked.
+func randomPackedProgram(rng *rand.Rand, srcBits int) *Program {
+	nSrc, nAcc := 2+rng.IntN(3), 2+rng.IntN(3)
+	accW := min(srcBits+8, 62)
+	var widths []int
+	var unsigned []bool
+	for i := 0; i < nSrc; i++ {
+		widths = append(widths, srcBits)
+		unsigned = append(unsigned, rng.IntN(2) == 0)
+	}
+	for i := 0; i < nAcc; i++ {
+		widths = append(widths, accW)
+		unsigned = append(unsigned, false)
+	}
+	p := buildProgram(widths, unsigned)
+	var accs, all []int
+	for c := 1; c < len(p.Cols); c++ {
+		all = append(all, c)
+		if c > nSrc {
+			accs = append(accs, c)
+			p.Instrs = append(p.Instrs, Instr{Op: OpClear, Dst: c, Width: accW})
+		}
+	}
+	pick := func() int { return all[rng.IntN(len(all))] }
+	addSub := func() Opcode { return []Opcode{OpAdd, OpSub}[rng.IntN(2)] }
+	for n := 4 + rng.IntN(8); n > 0; n-- {
+		dst := accs[rng.IntN(len(accs))]
+		a := pick()
+		if a == dst {
+			continue
+		}
+		switch rng.IntN(6) {
+		case 0:
+			p.Instrs = append(p.Instrs, Instr{Op: addSub(), Dst: dst, A: a, B: dst, InPlace: true, Width: accW})
+		case 1:
+			if b := pick(); b != dst {
+				p.Instrs = append(p.Instrs, Instr{Op: addSub(), Dst: dst, A: a, B: b, Width: accW})
+			}
+		case 2:
+			p.Instrs = append(p.Instrs, Instr{Op: OpNeg, Dst: dst, A: a, Width: accW})
+		case 3:
+			ins := Instr{Op: OpCopy, Dst: dst, A: a, Width: accW}
+			for _, d := range accs {
+				if d != dst && d != a && rng.IntN(3) == 0 {
+					ins.Dsts = append(ins.Dsts, d)
+				}
+			}
+			p.Instrs = append(p.Instrs, ins)
+		case 4: // copy + accumulation chain: the fused shape
+			p.Instrs = append(p.Instrs, Instr{Op: OpCopy, Dst: dst, A: a, Width: accW})
+			for k := rng.IntN(3); k > 0; k-- {
+				if x := pick(); x != dst {
+					p.Instrs = append(p.Instrs, Instr{Op: addSub(), Dst: dst, A: x, B: dst, InPlace: true, Width: accW})
+				}
+			}
+		case 5:
+			p.Instrs = append(p.Instrs, Instr{Op: OpClear, Dst: dst, Width: accW})
+		}
+	}
+	return p
+}
+
+// segments cuts [0, rows) into random consecutive pieces and returns
+// them shuffled, so loads land at unaligned row offsets and in no
+// particular order — the batch layout puts item b at row b·n for any n.
+func segments(rng *rand.Rand, rows int) [][2]int {
+	var segs [][2]int
+	for r := 0; r < rows; {
+		n := 1 + rng.IntN(rows-r)
+		segs = append(segs, [2]int{r, r + n})
+		r += n
+	}
+	rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
+	return segs
+}
+
+// Property: a lane-packed Machine is bit-identical to the word-level
+// reference at every lane count the analysis picks (1–4), for row counts
+// that leave the last word partly empty, loads and reads at unaligned
+// row segments, unloaded (zero-set) columns, and one arena reused across
+// plans of different lane counts.
+func TestPackedMachineMatchesWord(t *testing.T) {
+	var m Machine
+	byLanes := map[int]int{}
+	srcBits := []int{3, 4, 6, 8, 12, 14, 16, 20, 24, 28, 40}
+	for trial := 0; trial < 400; trial++ {
+		rng := rand.New(rand.NewPCG(uint64(trial), 0x1a2e5))
+		p := randomPackedProgram(rng, srcBits[trial%len(srcBits)])
+		if err := p.Validate(); err != nil {
+			t.Fatalf("trial %d: generated invalid program: %v", trial, err)
+		}
+		plan, err := NewExecPlan(p)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if vs := AuditPlan(p, plan); len(vs) != 0 {
+			t.Fatalf("trial %d: audit of a %d-lane plan: %v\nprogram: %v", trial, plan.Lanes(), vs[0], p.Instrs)
+		}
+		byLanes[plan.Lanes()]++
+		rows := []int{1, 3, 5, 13}[trial%4]
+		wm, err := NewWordMachine(p, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Reset(plan, rows)
+
+		loaded := make([]bool, len(p.Cols))
+		for c := 1; c < len(p.Cols); c++ {
+			if rng.IntN(5) == 0 {
+				continue // stays zero: Reset must clear it if the plan reads it
+			}
+			loaded[c] = true
+			v32 := make([]int32, rows)
+			v64 := make([]int64, rows)
+			for r := range v32 {
+				v32[r] = int32(rng.Uint32())
+				if rng.IntN(2) == 0 { // mostly in-format values, some that wrap
+					v32[r] >>= 32 - min(p.Cols[c].Width, 32)
+				}
+				v64[r] = int64(v32[r])
+			}
+			wm.SetColumn(c, v64)
+			for _, s := range segments(rng, rows) {
+				m.SetColumnInt32(c, s[0], v32[s[0]:s[1]])
+			}
+		}
+		if err := wm.Run(); err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+
+		written := plan.findZeroCols()
+		zeroed := map[int32]bool{}
+		for _, z := range plan.zero {
+			zeroed[z] = true
+		}
+		for c := 1; c < len(p.Cols); c++ {
+			if !loaded[c] && !written[c] && !zeroed[int32(c)] {
+				continue // neither loaded, written nor reset: undefined after reuse
+			}
+			want, got := wm.Column(c), m.Column(c)
+			for r := range want {
+				if got[r] != want[r] {
+					t.Fatalf("trial %d (%d lanes, %d rows): col %d row %d: packed %d != word %d\nprogram: %v",
+						trial, plan.Lanes(), rows, c, r, got[r], want[r], p.Instrs)
+				}
+			}
+			for _, s := range segments(rng, rows) {
+				acc := make([]int32, s[1]-s[0])
+				for i := range acc {
+					acc[i] = int32(i)
+				}
+				m.AccumulateColumn(c, s[0], acc)
+				for i, v := range acc {
+					if w := int32(i) + int32(want[s[0]+i]); v != w {
+						t.Fatalf("trial %d (%d lanes): col %d row %d: accumulated %d, want %d",
+							trial, plan.Lanes(), c, s[0]+i, v, w)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("plans by lane count: %v", byLanes)
+	for lanes := 1; lanes <= 4; lanes++ {
+		if byLanes[lanes] < 20 {
+			t.Fatalf("only %d random plans packed %d lanes (all: %v); the generator no longer covers every layout",
+				byLanes[lanes], lanes, byLanes)
 		}
 	}
 }

@@ -47,6 +47,10 @@ const (
 	// InvZeroSet: a column is read before any op writes it but is
 	// missing from the reset set, so arena reuse leaks stale rows.
 	InvZeroSet = "zero-set"
+	// InvLanes: the plan packs several rows per word, but its layout is
+	// not one the machine decodes, some non-clear op may wrap, or some
+	// value the machine can decode does not provably fit a lane.
+	InvLanes = "lanes"
 )
 
 // Violation is one invariant failure found by AuditPlan. Op is the plan
@@ -76,9 +80,12 @@ func (v Violation) String() string {
 //     re-derived interval analysis over the machine's semantics
 //     (InvMaskElision);
 //   - zero-set soundness: every column read before it is written is in
-//     the plan's reset set (InvZeroSet).
+//     the plan's reset set (InvZeroSet);
+//   - lane soundness: a packed plan's layout is one the machine decodes,
+//     no op but a clear wraps, and every value the machine can decode
+//     provably fits a lane, by the same re-derived intervals (InvLanes).
 //
-// A nil return means the plan is proved consistent with p under all four
+// A nil return means the plan is proved consistent with p under all five
 // invariant families. Structural violations abort the audit early (the
 // later analyses would index out of bounds); the remaining families are
 // all checked so one pass reports every independent failure.
@@ -95,7 +102,9 @@ func AuditPlan(p *Program, plan *ExecPlan) []Violation {
 	var out []Violation
 	out = append(out, plan.auditCorrespondence(p)...)
 	out = append(out, plan.auditRanges()...)
-	out = append(out, plan.auditZeroSet()...)
+	zeroVs, entry := plan.auditZeroSet()
+	out = append(out, zeroVs...)
+	out = append(out, plan.auditLanes(entry)...)
 	return out
 }
 
@@ -428,7 +437,9 @@ func auditNoWrap(l, h int64, w int, unsigned bool) bool {
 // and unwritten columns read zero, so every column starts inside its
 // format band. A wide op keeps its exact result interval (that is what
 // the machine computes); a truncating op collapses its destination to
-// the stored format band, which soundly over-approximates any wrap.
+// the stored format band, which soundly over-approximates any wrap. For
+// a packed plan every stored interval must also fit a signed lane
+// (InvLanes), since the machine decodes each lane by sign extension.
 func (plan *ExecPlan) auditRanges() []Violation {
 	var out []Violation
 	bad := func(op int, format string, args ...any) {
@@ -439,6 +450,14 @@ func (plan *ExecPlan) auditRanges() []Violation {
 	hi := make([]int64, n)
 	for c, col := range plan.cols {
 		lo[c], hi[c] = auditBand(col.Width, col.Unsigned)
+	}
+	laneLo, laneHi, packed := plan.auditLaneBand()
+	inLane := func(op int, c int32) {
+		if packed && (lo[c] < laneLo || hi[c] > laneHi) {
+			out = append(out, Violation{Op: op, Invariant: InvLanes, Detail: fmt.Sprintf(
+				"column %d holds [%d, %d], outside the %d-bit lane of a %d-lane plan",
+				c, lo[c], hi[c], plan.laneBits, plan.lanes)})
+		}
 	}
 	for i := range plan.ops {
 		op := &plan.ops[i]
@@ -525,6 +544,62 @@ func (plan *ExecPlan) auditRanges() []Violation {
 			}
 			lo[op.dst], hi[op.dst] = l, h
 		}
+		if op.kind == planCopyMulti {
+			for _, cd := range plan.multi[op.ext] {
+				inLane(i, cd.col)
+			}
+		} else {
+			inLane(i, op.dst)
+		}
+	}
+	return out
+}
+
+// auditLaneBand returns the signed value band of one lane when the plan
+// claims a packed layout the machine can decode: n ∈ 2..4 lanes of
+// ⌊64/n⌋ bits each.
+func (plan *ExecPlan) auditLaneBand() (lo, hi int64, packed bool) {
+	n, bits := plan.lanes, plan.laneBits
+	if n < 2 || n > 4 || bits != 64/n {
+		return 0, 0, false
+	}
+	half := int64(1) << uint(bits-1)
+	return -half, half - 1, true
+}
+
+// auditLanes checks the plan's lane layout itself (InvLanes): it must be
+// n lanes of ⌊64/n⌋ bits for n ∈ 1..4, and a packed one (n > 1) needs
+// two more facts. Every op other than a clear must be flagged wide —
+// the mask-elision audit proves the flags — because a masked word mixes
+// lanes. And every column whose entry value the machine can decode
+// (entry, from auditZeroSet) must have a format band inside the lane.
+// The stored intervals are checked by auditRanges.
+func (plan *ExecPlan) auditLanes(entry []bool) []Violation {
+	var out []Violation
+	bad := func(op int, format string, args ...any) {
+		out = append(out, Violation{Op: op, Invariant: InvLanes, Detail: fmt.Sprintf(format, args...)})
+	}
+	n, bits := plan.lanes, plan.laneBits
+	if n < 1 || n > 4 || bits != 64/n {
+		bad(-1, "lane layout %d×%d bits is not one of 1×64, 2×32, 3×21, 4×16", n, bits)
+		return out
+	}
+	if n == 1 {
+		return nil
+	}
+	for i := range plan.ops {
+		if op := &plan.ops[i]; op.kind != planClear && !op.wide() {
+			bad(i, "op may wrap in a %d-lane plan; a masked word corrupts the other lanes", n)
+		}
+	}
+	laneLo, laneHi, _ := plan.auditLaneBand()
+	for c, col := range plan.cols {
+		if !entry[c] {
+			continue
+		}
+		if l, h := auditBand(col.Width, col.Unsigned); l < laneLo || h > laneHi {
+			bad(-1, "column %d's entry value is observable and its format band [%d, %d] exceeds the %d-bit lane", c, l, h, bits)
+		}
 	}
 	return out
 }
@@ -534,14 +609,19 @@ func (plan *ExecPlan) auditRanges() []Violation {
 // reuse — and requires every one of them in the plan's reset set. A
 // superset is sound (clearing more than necessary wastes a little
 // work); a missing column leaks stale values from the previous shape.
-func (plan *ExecPlan) auditZeroSet() []Violation {
-	var out []Violation
+// It also returns the columns whose entry value the machine can
+// observe: those read before any write, and those never written.
+func (plan *ExecPlan) auditZeroSet() (out []Violation, entry []bool) {
 	zeroed := make(map[int32]bool, len(plan.zero))
 	for _, z := range plan.zero {
 		zeroed[z] = true
 	}
 	written := make([]bool, len(plan.cols))
+	entry = make([]bool, len(plan.cols))
 	read := func(op int, c int32) {
+		if !written[c] {
+			entry[c] = true
+		}
 		if !written[c] && !zeroed[c] {
 			out = append(out, Violation{Op: op, Invariant: InvZeroSet,
 				Detail: fmt.Sprintf("column %d is read before any write but missing from the reset set", c)})
@@ -573,5 +653,8 @@ func (plan *ExecPlan) auditZeroSet() []Violation {
 			written[op.dst] = true
 		}
 	}
-	return out
+	for c := range entry {
+		entry[c] = entry[c] || !written[c]
+	}
+	return out, entry
 }

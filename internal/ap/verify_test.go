@@ -75,6 +75,72 @@ func TestAuditPlanRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// AuditPlan's lane invariant, one hand-built case per condition: a
+// packed layout must be one the machine decodes, must not coexist with
+// a wrapping op, and must hold every stored value and every observable
+// entry value in a lane. Each plan is first audited clean as lowered,
+// then with its layout forced one step denser.
+func TestAuditPlanLanes(t *testing.T) {
+	cases := []struct {
+		name   string
+		widths []int
+		instrs []Instr
+		lanes  int // what the lowering must pick
+		anchor int // op the violation anchors to (-1: plan level)
+	}{
+		// A never-written 20-bit column is decoded as loaded.
+		{"entry value", []int{20}, nil, 3, -1},
+		// An 8-bit add may wrap, so no packing at all.
+		{"wrapping op", []int{8, 8, 8}, []Instr{{Op: OpAdd, Dst: 3, A: 1, B: 2, Width: 8}}, 1, 0},
+		// A 16-bit source doubled twice reaches 18 bits: 3 lanes, and
+		// the 17-bit first sum already overflows a 16-bit lane.
+		{"stored value", []int{16, 24, 24}, []Instr{
+			{Op: OpAdd, Dst: 2, A: 1, B: 1, Width: 24},
+			{Op: OpAdd, Dst: 3, A: 2, B: 2, Width: 24},
+		}, 3, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := buildProgram(tc.widths, make([]bool, len(tc.widths)))
+			p.Instrs = tc.instrs
+			plan, err := NewExecPlan(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Lanes() != tc.lanes {
+				t.Fatalf("lowering packs %d lanes, want %d", plan.Lanes(), tc.lanes)
+			}
+			if vs := AuditPlan(p, plan); len(vs) != 0 {
+				t.Fatalf("lowered plan fails its audit: %v", vs)
+			}
+			plan.lanes++
+			plan.laneBits = 64 / plan.lanes
+			vs := AuditPlan(p, plan)
+			if len(vs) == 0 {
+				t.Fatalf("a %d×%d layout passed the audit", plan.lanes, plan.laneBits)
+			}
+			for _, v := range vs {
+				if v.Invariant != InvLanes {
+					t.Fatalf("violation %v, want only %s", v, InvLanes)
+				}
+			}
+			if vs[0].Op != tc.anchor {
+				t.Fatalf("first violation %v anchors to op %d, want %d", vs[0], vs[0].Op, tc.anchor)
+			}
+		})
+	}
+	// A layout the machine does not decode, even where values would fit.
+	p := buildProgram([]int{4}, []bool{true})
+	plan, err := NewExecPlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.laneBits = 15
+	if vs := AuditPlan(p, plan); len(vs) != 1 || vs[0].Invariant != InvLanes || vs[0].Op != -1 {
+		t.Fatalf("4×15 layout: %v", vs)
+	}
+}
+
 // clonePlan deep-copies a plan so a mutation cannot leak into the
 // original (plans are shared, immutable artifacts).
 func clonePlan(p *ExecPlan) *ExecPlan {
@@ -82,6 +148,9 @@ func clonePlan(p *ExecPlan) *ExecPlan {
 		cols: append([]Col(nil), p.cols...),
 		ops:  append([]planOp(nil), p.ops...),
 		zero: append([]int32(nil), p.zero...),
+
+		lanes:    p.lanes,
+		laneBits: p.laneBits,
 	}
 	for _, m := range p.multi {
 		q.multi = append(q.multi, append([]copyDst(nil), m...))
@@ -228,6 +297,18 @@ var planMutations = []planMutation{
 		plan.ops = append(plan.ops[:i], plan.ops[i+1:]...)
 		return true
 	}},
+	// Widen the lane layout past what the plan proves: move to the next
+	// denser layout (the lowering already chose the densest sound one),
+	// or shrink the lane below the layout's width.
+	{"widen-lanes", func(rng *rand.Rand, plan *ExecPlan) bool {
+		if plan.lanes < 4 && rng.IntN(2) == 0 {
+			plan.lanes++
+			plan.laneBits = 64 / plan.lanes
+		} else {
+			plan.laneBits -= 1 + rng.IntN(plan.laneBits/2)
+		}
+		return true
+	}},
 	// Drop a reset: remove one column from the zero set, leaking stale
 	// arena rows into the next execution.
 	{"drop-zero", func(rng *rand.Rand, plan *ExecPlan) bool {
@@ -281,9 +362,14 @@ func plansEquivalent(t *testing.T, rng *rand.Rand, p *Program, orig, mut *ExecPl
 func TestAuditPlanCatchesMutations(t *testing.T) {
 	total, caught := 0, 0
 	escapees := map[string]int{}
-	for trial := 0; trial < 120; trial++ {
+	for trial := 0; trial < 180; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 0xbadc0de))
-		p := randomProgram(rng, trial%2 == 0)
+		var p *Program
+		if trial%3 == 2 { // a packed plan, so lane mutants must beat the interval proof
+			p = randomPackedProgram(rng, []int{4, 14, 24}[trial/3%3])
+		} else {
+			p = randomProgram(rng, trial%2 == 0)
+		}
 		if p == nil {
 			continue
 		}

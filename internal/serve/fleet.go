@@ -563,6 +563,11 @@ func (f *Fleet) execBatch(d *device, b *apBatch) {
 	}
 	f.dilate(br.LatencyNS, start)
 
+	// Results are delivered only after the batch's exec spans and phase
+	// metrics are recorded: a client that reads /debug/traces or
+	// /metrics as soon as its reply lands must find them there.
+	results := make([]itemResult, len(b.items))
+	var ready []int
 	next := 0
 	for i, it := range b.items {
 		if b.done[i] {
@@ -597,7 +602,8 @@ func (f *Fleet) execBatch(d *device, b *apBatch) {
 			res.argmax = lg.ArgmaxInt()[0]
 		}
 		b.done[i] = true
-		it.res <- res
+		results[i] = res
+		ready = append(ready, i)
 	}
 	execDur := time.Since(start)
 	b.e.est.Observe(len(b.items), execDur, f.parallelism(b))
@@ -617,6 +623,9 @@ func (f *Fleet) execBatch(d *device, b *apBatch) {
 			continue
 		}
 		f.itemSpan(it, b, "exec", d.id, -1, start, execDur, "")
+	}
+	for _, i := range ready {
+		b.items[i].res <- results[i]
 	}
 }
 
@@ -708,9 +717,17 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 		return
 	}
 
+	// Metrics before delivery, as in execBatch.
+	if f.metrics != nil {
+		f.metrics.ObserveBatch(len(b.items), b.simNS, b.simPJ)
+	}
 	for i, it := range b.items {
 		if b.runs[i] == nil {
 			continue
+		}
+		if f.metrics != nil {
+			disp := dispatchOf(it)
+			f.metrics.ObserveItemPhases(disp.Sub(it.enq), b.started.Sub(disp), time.Duration(b.execNS))
 		}
 		lg := b.runs[i].Logits()
 		b.done[i] = true
@@ -730,13 +747,6 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 				Path:           b.path,
 			},
 		}
-		if f.metrics != nil {
-			disp := dispatchOf(it)
-			f.metrics.ObserveItemPhases(disp.Sub(it.enq), b.started.Sub(disp), time.Duration(b.execNS))
-		}
-	}
-	if f.metrics != nil {
-		f.metrics.ObserveBatch(len(b.items), b.simNS, b.simPJ)
 	}
 	b.e.est.Observe(len(b.items), time.Duration(b.execNS), f.parallelism(b))
 }

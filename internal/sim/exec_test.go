@@ -28,6 +28,11 @@ func TestForwardAPBatchMatchesSerial(t *testing.T) {
 		"tinycnn":    model.TinyCNN(model.DefaultConfig()),
 		"tinyresnet": model.TinyResNet(model.DefaultConfig()),
 	}
+	if !testing.Short() {
+		// 3- and 4-lane plans: item b's rows start at b·n, so with n not
+		// a multiple of the lane count items share machine words.
+		nets["miniresnet18-8bit"] = model.MiniResNet18(eightBit, 32, 32)
+	}
 	for name, net := range nets {
 		c := compileNet(t, net, true)
 		for _, n := range []int{1, 3, 8} {
