@@ -22,7 +22,7 @@ import "fmt"
 //     whole arena;
 //   - the same range analysis picks a lane layout: when it proves every
 //     value the machine can observe fits a 16-, 21- or 32-bit lane, the
-//     machine packs 4, 3 or 2 rows into each int64 word (see lanes).
+//     machine packs 4, 3 or 2 rows into each int64 word (see lc).
 //
 // An ExecPlan is immutable and safe to share: the functional simulator
 // builds one per TileProgram (memoized, and shared further through the
@@ -42,16 +42,14 @@ type ExecPlan struct {
 	// these on arena reuse — programs fully write everything else before
 	// looking at it, so stale rows from a previous plan are unobservable.
 	zero []int32
-	// lanes rows share one int64 word, each in a laneBits-wide lane: row
-	// r lives in lane r%lanes of word r/lanes, and a word holds
-	// P = Σ vᵢ·2^(laneBits·i) mod 2⁶⁴. That encoding is a ring
+	// lc is the lane layout: lc.n rows share one int64 word, each in a
+	// lc.bits-wide lane: row r lives in lane r%n of word r/n, and a word
+	// holds P = Σ vᵢ·2^(bits·i) mod 2⁶⁴. That encoding is a ring
 	// homomorphism for +, − and negation, so every mask-free op of Run
 	// yields exactly the packed per-row results. chooseLanes packs only
 	// when no op but a clear wraps and every observable value provably
-	// fits a lane; otherwise lanes is 1 and laneBits 64, the unpacked
-	// layout.
-	lanes    int
-	laneBits int
+	// fits a lane; otherwise the layout is 1×64, the unpacked one.
+	lc laneCodec
 }
 
 // planKind discriminates the resolved operation variants of a planOp.
@@ -184,7 +182,8 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 		plan.ops = append(plan.ops, op)
 	}
 	lo, hi := plan.analyzeRanges()
-	written := plan.findZeroCols()
+	var written []bool
+	plan.zero, written = plan.findZeroCols()
 	plan.chooseLanes(lo, hi, written)
 	return plan, nil
 }
@@ -198,7 +197,7 @@ func (p *ExecPlan) Ops() int { return len(p.ops) }
 
 // Lanes returns how many rows the plan's machine packs into one int64
 // word (1 when the range analysis cannot prove a packed layout sound).
-func (p *ExecPlan) Lanes() int { return p.lanes }
+func (p *ExecPlan) Lanes() int { return p.lc.n }
 
 // rangeSat bounds the interval analysis so interval arithmetic can never
 // overflow int64 (sums of two in-bound endpoints stay below 2^62).
@@ -349,7 +348,7 @@ func (plan *ExecPlan) analyzeRanges() (spanLo, spanHi int64) {
 // value is observable — read before any write (a load or the reset
 // zero), or never written at all.
 func (plan *ExecPlan) chooseLanes(lo, hi int64, written []bool) {
-	plan.lanes, plan.laneBits = 1, 64
+	plan.lc = newLaneCodec(1, 64)
 	for i := range plan.ops {
 		if op := &plan.ops[i]; op.kind != planClear && !op.wide() {
 			return
@@ -369,23 +368,23 @@ func (plan *ExecPlan) chooseLanes(lo, hi int64, written []bool) {
 	}
 	for lanes := 4; lanes > 1; lanes-- {
 		if fitsFormat(lo, hi, 64/lanes, false) {
-			plan.lanes, plan.laneBits = lanes, 64/lanes
+			plan.lc = newLaneCodec(lanes, 64/lanes)
 			return
 		}
 	}
 }
 
-// findZeroCols records every column read before it is written (in op
+// findZeroCols returns every column read before it is written (in op
 // order); loads may overwrite them afterwards, but an unloaded slot — a
-// strip tail's unused plane, say — must read as zero. It returns which
-// columns some op writes.
-func (plan *ExecPlan) findZeroCols() (written []bool) {
+// strip tail's unused plane, say — must read as zero. It also returns
+// which columns some op writes. The plan is left untouched.
+func (plan *ExecPlan) findZeroCols() (zero []int32, written []bool) {
 	written = make([]bool, len(plan.cols))
 	queued := make([]bool, len(plan.cols))
 	read := func(c int32) {
 		if !written[c] && !queued[c] {
 			queued[c] = true
-			plan.zero = append(plan.zero, c)
+			zero = append(zero, c)
 		}
 	}
 	for i := range plan.ops {
@@ -416,7 +415,7 @@ func (plan *ExecPlan) findZeroCols() (written []bool) {
 			written[op.dst] = true
 		}
 	}
-	return written
+	return zero, written
 }
 
 // maskSign derives the wrap constants of a non-wide op.
@@ -430,7 +429,8 @@ func (op *planOp) maskSign() (mask, sign int64) {
 // are disjoint bit fields and decode independently — no borrow ripples
 // from one lane into the next. The 1×64 layout is the degenerate case:
 // every shift by 64 yields 0 and the bias cancels, so words hold rows
-// unchanged.
+// unchanged. chooseLanes builds the codec once per plan; machines read
+// it from their plan.
 type laneCodec struct {
 	n    int
 	bits uint
@@ -487,7 +487,6 @@ func (lc *laneCodec) unpackAdd(dst []int32, src []int64) {
 type Machine struct {
 	plan  *ExecPlan
 	rows  int
-	lc    laneCodec
 	flat  []int64
 	vals  [][]int64
 	links [][]int64 // scratch: fused-chain operand slices
@@ -505,7 +504,7 @@ func (m *Machine) Reset(plan *ExecPlan, rows int) {
 		panic(fmt.Sprintf("ap: machine reset with %d rows", rows))
 	}
 	nc := len(plan.cols)
-	words := (rows + plan.lanes - 1) / plan.lanes
+	words := (rows + plan.lc.n - 1) / plan.lc.n
 	need := nc * words
 	fresh := cap(m.flat) < need
 	if fresh {
@@ -527,7 +526,6 @@ func (m *Machine) Reset(plan *ExecPlan, rows int) {
 		}
 	}
 	m.plan, m.rows = plan, rows
-	m.lc = newLaneCodec(plan.lanes, plan.laneBits)
 }
 
 // Rows returns the active row count.
@@ -556,7 +554,7 @@ func (m *Machine) SetColumnInt32(col, row0 int, vals []int32) {
 			sign = int64(1) << uint(meta.Width-1)
 		}
 	}
-	lc := &m.lc
+	lc := &m.plan.lc
 	n, bits := lc.n, lc.bits
 	words := m.vals[col]
 	r := row0
@@ -575,21 +573,11 @@ func (m *Machine) SetColumnInt32(col, row0 int, vals []int32) {
 // packWords fills each word of dst with the next n values of src,
 // wrapped by (mask, sign): lane 0 is stored, and each higher lane j is
 // added in its own pass, shifted by bits·j, so at n = 1 this is the
-// plain wrapping copy. The 4×16 layout, which every plan of the model
-// zoo at 4-bit activations uses, packs each word in one step with
-// constant shifts instead.
+// plain wrapping copy.
 //
 //rtmap:noalloc
 func packWords(dst []int64, src []int32, n int, bits uint, mask, sign int64) {
 	src = src[:len(dst)*n]
-	if n == 4 {
-		for k := range dst {
-			s := src[4*k : 4*k+4 : 4*k+4]
-			x0, x1, x2, x3 := int64(s[0])&mask, int64(s[1])&mask, int64(s[2])&mask, int64(s[3])&mask
-			dst[k] = x0 - (x0&sign)<<1 + (x1-(x1&sign)<<1)<<16 + (x2-(x2&sign)<<1)<<32 + (x3-(x3&sign)<<1)<<48
-		}
-		return
-	}
 	for k := range dst {
 		x := int64(src[k*n]) & mask
 		dst[k] = x - (x&sign)<<1
@@ -614,7 +602,7 @@ func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
 		panic(fmt.Sprintf("ap: AccumulateColumn rows [%d,%d) outside machine rows %d",
 			row0, end, m.rows))
 	}
-	lc := &m.lc
+	lc := &m.plan.lc
 	n := lc.n
 	words := m.vals[col]
 	r := row0
@@ -631,9 +619,10 @@ func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
 // Column returns a copy of a column's values (tests and debugging; the
 // hot path uses AccumulateColumn).
 func (m *Machine) Column(col int) []int64 {
+	lc := &m.plan.lc
 	out := make([]int64, m.rows)
 	for r := range out {
-		out[r] = m.lc.lane(m.vals[col][r/m.lc.n], r%m.lc.n)
+		out[r] = lc.lane(m.vals[col][r/lc.n], r%lc.n)
 	}
 	return out
 }

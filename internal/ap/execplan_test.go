@@ -535,7 +535,7 @@ func TestPackedMachineMatchesWord(t *testing.T) {
 		}
 		m.Run()
 
-		written := plan.findZeroCols()
+		_, written := plan.findZeroCols()
 		zeroed := map[int32]bool{}
 		for _, z := range plan.zero {
 			zeroed[z] = true

@@ -456,7 +456,7 @@ func (plan *ExecPlan) auditRanges() []Violation {
 		if packed && (lo[c] < laneLo || hi[c] > laneHi) {
 			out = append(out, Violation{Op: op, Invariant: InvLanes, Detail: fmt.Sprintf(
 				"column %d holds [%d, %d], outside the %d-bit lane of a %d-lane plan",
-				c, lo[c], hi[c], plan.laneBits, plan.lanes)})
+				c, lo[c], hi[c], plan.lc.bits, plan.lc.n)})
 		}
 	}
 	for i := range plan.ops {
@@ -559,7 +559,7 @@ func (plan *ExecPlan) auditRanges() []Violation {
 // claims a packed layout the machine can decode: n ∈ 2..4 lanes of
 // ⌊64/n⌋ bits each.
 func (plan *ExecPlan) auditLaneBand() (lo, hi int64, packed bool) {
-	n, bits := plan.lanes, plan.laneBits
+	n, bits := plan.lc.n, int(plan.lc.bits)
 	if n < 2 || n > 4 || bits != 64/n {
 		return 0, 0, false
 	}
@@ -579,7 +579,7 @@ func (plan *ExecPlan) auditLanes(entry []bool) []Violation {
 	bad := func(op int, format string, args ...any) {
 		out = append(out, Violation{Op: op, Invariant: InvLanes, Detail: fmt.Sprintf(format, args...)})
 	}
-	n, bits := plan.lanes, plan.laneBits
+	n, bits := plan.lc.n, int(plan.lc.bits)
 	if n < 1 || n > 4 || bits != 64/n {
 		bad(-1, "lane layout %d×%d bits is not one of 1×64, 2×32, 3×21, 4×16", n, bits)
 		return out

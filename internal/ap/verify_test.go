@@ -113,11 +113,10 @@ func TestAuditPlanLanes(t *testing.T) {
 			if vs := AuditPlan(p, plan); len(vs) != 0 {
 				t.Fatalf("lowered plan fails its audit: %v", vs)
 			}
-			plan.lanes++
-			plan.laneBits = 64 / plan.lanes
+			plan.lc = newLaneCodec(plan.lc.n+1, 64/(plan.lc.n+1))
 			vs := AuditPlan(p, plan)
 			if len(vs) == 0 {
-				t.Fatalf("a %d×%d layout passed the audit", plan.lanes, plan.laneBits)
+				t.Fatalf("a %d×%d layout passed the audit", plan.lc.n, plan.lc.bits)
 			}
 			for _, v := range vs {
 				if v.Invariant != InvLanes {
@@ -135,7 +134,7 @@ func TestAuditPlanLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.laneBits = 15
+	plan.lc = newLaneCodec(plan.lc.n, 15)
 	if vs := AuditPlan(p, plan); len(vs) != 1 || vs[0].Invariant != InvLanes || vs[0].Op != -1 {
 		t.Fatalf("4×15 layout: %v", vs)
 	}
@@ -148,9 +147,7 @@ func clonePlan(p *ExecPlan) *ExecPlan {
 		cols: append([]Col(nil), p.cols...),
 		ops:  append([]planOp(nil), p.ops...),
 		zero: append([]int32(nil), p.zero...),
-
-		lanes:    p.lanes,
-		laneBits: p.laneBits,
+		lc:   p.lc,
 	}
 	for _, m := range p.multi {
 		q.multi = append(q.multi, append([]copyDst(nil), m...))
@@ -301,12 +298,14 @@ var planMutations = []planMutation{
 	// denser layout (the lowering already chose the densest sound one),
 	// or shrink the lane below the layout's width.
 	{"widen-lanes", func(rng *rand.Rand, plan *ExecPlan) bool {
-		if plan.lanes < 4 && rng.IntN(2) == 0 {
-			plan.lanes++
-			plan.laneBits = 64 / plan.lanes
+		n, bits := plan.lc.n, int(plan.lc.bits)
+		if n < 4 && rng.IntN(2) == 0 {
+			n++
+			bits = 64 / n
 		} else {
-			plan.laneBits -= 1 + rng.IntN(plan.laneBits/2)
+			bits -= 1 + rng.IntN(bits/2)
 		}
+		plan.lc = newLaneCodec(n, bits)
 		return true
 	}},
 	// Drop a reset: remove one column from the zero set, leaking stale
