@@ -42,6 +42,7 @@ import (
 
 	"rtmap"
 	"rtmap/internal/serve"
+	"rtmap/internal/sim"
 	"rtmap/internal/workload"
 )
 
@@ -466,7 +467,7 @@ type execSection struct {
 	Network    string `json:"network"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 	// BaselineNSPerInfer is the single-stream per-inference time of the
-	// retained pre-ExecPlan interpreter (RunFunctionalBaseline).
+	// retained pre-ExecPlan interpreter (sim.ForwardAPBaseline).
 	BaselineNSPerInfer float64   `json:"baseline_ns_per_infer"`
 	Frontier           []execRow `json:"frontier"`
 }
@@ -517,7 +518,7 @@ func execSweep(name string, seed uint64, maxB int, cfg rtmap.CompileConfig, prog
 	ins := workload.Inputs(net.InputShape, maxB, seed+1)
 
 	progress("cross-checking engine vs baseline interpreter")
-	want, err := rtmap.RunFunctionalBaseline(comp, ins[0])
+	want, err := sim.ForwardAPBaseline(comp, ins[0])
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +535,7 @@ func execSweep(name string, seed uint64, maxB int, cfg rtmap.CompileConfig, prog
 	sec := &execSection{Network: name, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	progress("measuring baseline interpreter (single stream)")
 	sec.BaselineNSPerInfer, err = benchLoop(func() error {
-		_, err := rtmap.RunFunctionalBaseline(comp, ins[0])
+		_, err := sim.ForwardAPBaseline(comp, ins[0])
 		return err
 	})
 	if err != nil {

@@ -5,19 +5,19 @@
 // requests per model in an adaptive micro-batcher, and dispatches batches
 // onto a simulated fleet of AP devices whose per-batch cost is priced by
 // the internal/sim cost model. Inference itself runs either bit-exactly
-// (sim.ForwardAP replays the emitted AP programs) or on the quantized
-// software reference (model.ForwardInt) — the two are proved
-// bit-identical, so the mode trades verification strength for speed, not
-// accuracy.
+// (replaying the emitted AP programs) or on the quantized integer
+// software reference — the two are proved bit-identical, so the mode
+// trades verification strength for speed, not accuracy.
 //
-// With Options.ShardStages > 1 the scheduler switches from whole-model
-// dispatch to pipeline-parallel sharding: each admitted model is split
-// into contiguous layer-range stages (core.Partition, balanced on the
-// analytic per-layer latency), every stage is pinned to a distinct fleet
-// device, and micro-batches stream device to device through the stages —
-// so one large model occupies several simulated APs concurrently instead
-// of serializing on one. Stage costs (including inter-stage activation
-// transfers) are priced by sim.AnalyzePipeline, and the sharded
+// Every admitted model runs as a pipeline of contiguous layer-range
+// stages (core.Partition, balanced on the analytic per-layer latency),
+// executed by one stage runner (sim.ShardRun/StepBatch) and priced by
+// sim.AnalyzePipeline. By default that pipeline has one stage and a
+// batch goes to any live device. With Options.ShardStages > 1 every
+// stage is pinned to a distinct fleet device and micro-batches stream
+// device to device through the stages — so one large model occupies
+// several simulated APs concurrently instead of serializing on one.
+// Stage costs include inter-stage activation transfers, and the sharded
 // functional path stays bit-identical to single-device execution.
 //
 // Options.Replicas > 1 adds the data-parallel ("wide") axis: every

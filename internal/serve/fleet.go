@@ -8,17 +8,15 @@ import (
 
 	"rtmap/internal/dispatch"
 	"rtmap/internal/energy"
-	"rtmap/internal/model"
 	"rtmap/internal/sim"
-	"rtmap/internal/tensor"
 	"rtmap/internal/trace"
 )
 
 // BatchInfo is the per-batch accounting attached to every result: which
 // simulated device ran the batch, how large it was, how long the item
 // waited in queues (wall time), and what the batch cost on the simulated
-// hardware (sim.AnalyzeBatch pipelined-load pricing; for sharded models,
-// the sum of the per-stage sim.AnalyzeStageBatch prices).
+// hardware (the sum of the per-stage sim.AnalyzeStageBatch prices, which
+// for an unsharded model equals sim.AnalyzeBatch's pipelined-load price).
 type BatchInfo struct {
 	Device int `json:"device"`
 	Size   int `json:"size"`
@@ -54,11 +52,11 @@ type replica struct {
 }
 
 // apBatch is one dispatched unit of work: a model entry plus the items
-// coalesced for it. Sharded batches traverse the fleet stage by stage,
-// carrying their per-item pipeline state. A batch that reaches a dead
-// device is requeued onto a surviving replica (bounded attempts); done
-// tracks which items already received a result so a restart never
-// delivers twice.
+// coalesced for it. Batches traverse the fleet stage by stage (one stage
+// for unsharded models), carrying their per-item pipeline state. A batch
+// that reaches a dead device is requeued onto a surviving replica
+// (bounded attempts); done tracks which items already received a result
+// so a restart never delivers twice.
 type apBatch struct {
 	e     *entry
 	items []*item
@@ -81,7 +79,7 @@ type apBatch struct {
 	devs     []int
 	attempts int
 
-	// Pipeline state (sharded entries only).
+	// Pipeline state; path is recorded only for sharded entries.
 	stage   int
 	runs    []*sim.ShardRun
 	path    []int
@@ -493,7 +491,7 @@ func (f *Fleet) run(d *device) {
 		if dead {
 			f.requeue(d, b)
 		} else {
-			f.execBatch(d, b)
+			f.execStage(d, b)
 		}
 		f.mu.Lock()
 		d.queued--
@@ -522,123 +520,31 @@ func (f *Fleet) dilate(simNS float64, start time.Time) {
 	}
 }
 
-// execBatch runs every item of the batch on this device and prices the
-// batch on the simulated hardware. Bit-exact items replay the compiled AP
-// programs (sim.ForwardAP); reference items run the quantized software
-// reference — both paths produce identical logits.
-func (f *Fleet) execBatch(d *device, b *apBatch) {
-	if b.pl.shard != nil {
-		f.execStage(d, b)
-		return
-	}
-	start := time.Now()
-	// Deadline gate: items that expired while queued are cancelled, not
-	// executed. A fully expired batch never touches the device.
-	if f.expireDue(b, start, "before execution") == 0 {
-		return
-	}
-	br := sim.AnalyzeBatch(b.e.report, len(b.items))
-	f.mu.Lock()
-	d.busyNS += br.LatencyNS
-	d.batches++
-	d.meter.Spend(br.EnergyPJ, b.pl.writesPerSample(0)*float64(len(b.items)))
-	f.mu.Unlock()
-	f.waitQueueSpans(b, d.id, start)
-
-	// The whole batch executes in one engine pass: bit-exact items run
-	// through sim.ForwardAPBatch (one program interpretation per (strip,
-	// tile, row-group) for all of them — bit-identical to per-item
-	// ForwardAP, enforced by TestBatchedExecBitExact), reference items
-	// through the per-item software reference.
-	var exactIns []*tensor.Float
-	for i, it := range b.items {
-		if !b.done[i] && it.bitExact {
-			exactIns = append(exactIns, it.in)
-		}
-	}
-	var exactTrs []*model.IntTrace
-	var exactErr error
-	if len(exactIns) > 0 {
-		exactTrs, exactErr = sim.ForwardAPBatchHook(b.e.comp, exactIns, f.layerHook(b, d.id, -1))
-	}
-	f.dilate(br.LatencyNS, start)
-
-	// Results are delivered only after the batch's exec spans and phase
-	// metrics are recorded: a client that reads /debug/traces or
-	// /metrics as soon as its reply lands must find them there.
-	results := make([]itemResult, len(b.items))
-	var ready []int
-	next := 0
-	for i, it := range b.items {
-		if b.done[i] {
-			continue
-		}
-		res := itemResult{info: BatchInfo{
-			Device:         d.id,
-			Size:           len(b.items),
-			Replica:        b.replica,
-			Requeues:       b.attempts,
-			QueueWallNS:    start.Sub(it.enq).Nanoseconds(),
-			SimLatencyNS:   br.LatencyNS,
-			SimPerSampleNS: br.PerSampleNS(),
-			SimEnergyPJ:    br.EnergyPJ,
-		}}
-		var tr *model.IntTrace
-		var err error
-		if it.bitExact {
-			tr, err = nil, exactErr
-			if exactErr == nil {
-				tr = exactTrs[next]
-			}
-			next++
-		} else {
-			tr, err = b.e.net.ForwardInt(it.in)
-		}
-		if err != nil {
-			res.err = err
-		} else {
-			lg := tr.Logits()
-			res.logits = append([]int32(nil), lg.Data...)
-			res.argmax = lg.ArgmaxInt()[0]
-		}
-		b.done[i] = true
-		results[i] = res
-		ready = append(ready, i)
-	}
-	execDur := time.Since(start)
-	b.e.est.Observe(len(b.items), execDur, f.parallelism(b))
-	if f.metrics != nil {
-		f.metrics.ObserveBatch(len(b.items), br.LatencyNS, br.EnergyPJ)
-		f.metrics.ObserveExec(0, execDur)
-		for i, it := range b.items {
-			if b.wasCancelled(i) {
-				continue // never executed: no phases to attribute
-			}
-			disp := dispatchOf(it)
-			f.metrics.ObserveItemPhases(disp.Sub(it.enq), start.Sub(disp), execDur)
-		}
-	}
-	for i, it := range b.items {
-		if b.wasCancelled(i) || !b.firstTraced(i) {
-			continue
-		}
-		f.itemSpan(it, b, "exec", d.id, -1, start, execDur, "")
-	}
-	for _, i := range ready {
-		b.items[i].res <- results[i]
-	}
+// failure is one item that failed during a stage; it is answered after
+// the stage's spans and metrics are recorded, like every other result.
+type failure struct {
+	i   int
+	err error
 }
 
-// execStage runs one pipeline stage of a sharded batch on this device:
-// every item advances one stage of its ShardRun, the stage is priced by
+// execStage runs the batch's next pipeline stage on this device: every
+// live item advances one stage of its ShardRun, the stage is priced by
 // the pipeline cost model, and the batch either hops to the next stage's
-// device or delivers its results.
+// device or delivers its results. An unsharded model is a one-stage
+// pipeline and keeps the whole-model telemetry: one "exec" span and
+// layer spans with Stage -1, and no stage count or path in BatchInfo.
 func (f *Fleet) execStage(d *device, b *apBatch) {
 	stageStart := time.Now()
+	stages := b.pl.stages()
+	spanName, spanStage, where := "stage", b.stage, "before stage 0"
+	if stages == 1 {
+		spanName, spanStage, where = "exec", -1, "before execution"
+	}
+	var fails []failure
 	if b.stage == 0 {
 		// Deadline gate, stage 0 only: once a batch has bought pipeline
 		// work, finishing beats discarding it partway through.
-		if f.expireDue(b, stageStart, "before stage 0") == 0 {
+		if f.expireDue(b, stageStart, where) == 0 {
 			return
 		}
 		b.started = stageStart
@@ -650,7 +556,7 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 			run, err := sim.NewShardRun(b.e.comp, b.pl.shard, it.in)
 			if err != nil {
 				b.done[i] = true
-				it.res <- itemResult{err: err}
+				fails = append(fails, failure{i, err})
 				continue
 			}
 			b.runs[i] = run
@@ -668,19 +574,22 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 	f.mu.Lock()
 	d.busyNS += br.LatencyNS
 	d.batches++
-	d.meter.Spend(br.EnergyPJ, b.pl.writesPerSample(b.stage)*float64(len(b.items)))
+	d.meter.Spend(br.EnergyPJ, b.pl.stageWrites[b.stage]*float64(len(b.items)))
 	f.mu.Unlock()
 	b.simNS += br.LatencyNS
 	b.simPJ += br.EnergyPJ
-	b.path = append(b.path, d.id)
+	if stages > 1 {
+		b.path = append(b.path, d.id)
+	}
 
 	// Advance every live run one stage in one batched engine pass per
 	// bit-exactness mode (a coalesced batch can mix modes; each group's
 	// runs share their stage's program interpretations).
-	hook := f.layerHook(b, d.id, b.stage)
-	for _, exact := range []bool{true, false} {
-		var group []*sim.ShardRun
-		var idx []int
+	hook := f.layerHook(b, d.id, spanStage)
+	group := make([]*sim.ShardRun, 0, len(b.items))
+	idx := make([]int, 0, len(b.items))
+	for _, exact := range [2]bool{true, false} {
+		group, idx = group[:0], idx[:0]
 		for i, it := range b.items {
 			if b.runs[i] == nil || it.bitExact != exact {
 				continue // failed or already delivered at an earlier stage
@@ -688,50 +597,60 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 			group = append(group, b.runs[i])
 			idx = append(idx, i)
 		}
-		for k, err := range sim.StepBatchHook(group, exact, hook) {
+		for k, err := range sim.StepBatch(group, exact, hook) {
 			if err != nil {
 				i := idx[k]
 				b.done[i] = true
-				b.items[i].res <- itemResult{err: err}
 				b.runs[i] = nil
+				fails = append(fails, failure{i, err})
 			}
 		}
 	}
 
 	f.dilate(br.LatencyNS, stageStart)
 
+	// Spans and metrics are recorded before any result is delivered: a
+	// client that reads /debug/traces or /metrics as soon as its reply
+	// lands must find them there.
 	stageDur := time.Since(stageStart)
 	b.execNS += stageDur.Nanoseconds()
+	last := b.stage == stages-1
 	if f.metrics != nil {
 		f.metrics.ObserveExec(b.stage, stageDur)
+		if last {
+			f.metrics.ObserveBatch(len(b.items), b.simNS, b.simPJ)
+			for i, it := range b.items {
+				if b.runs[i] != nil {
+					disp := dispatchOf(it)
+					f.metrics.ObserveItemPhases(disp.Sub(it.enq), b.started.Sub(disp), time.Duration(b.execNS))
+				}
+			}
+		}
 	}
 	for i, it := range b.items {
 		if !b.done[i] && b.firstTraced(i) {
-			f.itemSpan(it, b, "stage", d.id, b.stage, stageStart, stageDur, "")
+			f.itemSpan(it, b, spanName, d.id, spanStage, stageStart, stageDur, "")
 		}
 	}
-
-	if b.stage < len(b.pl.shard.Stages)-1 {
+	if last {
+		b.e.est.Observe(len(b.items), time.Duration(b.execNS), f.parallelism(b))
+	}
+	for _, fl := range fails {
+		b.items[fl.i].res <- itemResult{err: fl.err}
+	}
+	if !last {
 		b.stage++
 		f.forward(b.devs[b.stage], b)
 		return
 	}
 
-	// Metrics before delivery, as in execBatch.
-	if f.metrics != nil {
-		f.metrics.ObserveBatch(len(b.items), b.simNS, b.simPJ)
-	}
 	for i, it := range b.items {
 		if b.runs[i] == nil {
 			continue
 		}
-		if f.metrics != nil {
-			disp := dispatchOf(it)
-			f.metrics.ObserveItemPhases(disp.Sub(it.enq), b.started.Sub(disp), time.Duration(b.execNS))
-		}
 		lg := b.runs[i].Logits()
 		b.done[i] = true
-		it.res <- itemResult{
+		res := itemResult{
 			logits: append([]int32(nil), lg.Data...),
 			argmax: lg.ArgmaxInt()[0],
 			info: BatchInfo{
@@ -743,12 +662,13 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 				SimLatencyNS:   b.simNS,
 				SimPerSampleNS: b.simNS / float64(len(b.items)),
 				SimEnergyPJ:    b.simPJ,
-				Stages:         len(b.pl.shard.Stages),
-				Path:           b.path,
 			},
 		}
+		if stages > 1 {
+			res.info.Stages, res.info.Path = stages, b.path
+		}
+		it.res <- res
 	}
-	b.e.est.Observe(len(b.items), time.Duration(b.execNS), f.parallelism(b))
 }
 
 // DeviceStat is a snapshot of one simulated device for /metrics.

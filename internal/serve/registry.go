@@ -114,8 +114,8 @@ type entry struct {
 	// analytic cost model against it.
 	est dispatch.DelayEstimator
 
-	// layerWrites caches sim.LayerWrites(comp) so rescaling can rebuild
-	// per-stage wear costs without re-deriving the endurance model.
+	// layerWrites caches sim.LayerWrites(comp) so each stage partition
+	// sums its wear costs without re-deriving the endurance model.
 	layerWrites []float64
 
 	// pipes memoizes the layer partition and pipeline pricing per stage
@@ -132,37 +132,22 @@ type entry struct {
 }
 
 // placement is one immutable snapshot of how an entry occupies the
-// fleet: the pipeline shard plan and its pricing (nil for unsharded),
-// the data-parallel replica placements (nil for unpinned whole-fleet
-// dispatch), and the per-stage wear costs. Registry.Rescale builds a
-// fresh placement and swaps the entry's pointer; the structs themselves
-// are never mutated after publication.
+// fleet: the stage partition with its pricing and wear costs (one stage
+// for an unsharded model) and the data-parallel replica placements (nil
+// for unpinned whole-fleet dispatch). Registry.Rescale builds a fresh
+// placement and swaps the entry's pointer; the structs themselves are
+// never mutated after publication.
 type placement struct {
-	shard       *core.ShardPlan
-	pipeline    *sim.PipelineReport
-	replicas    []*replica
-	stageWrites []float64
+	*pipePlan
+	replicas []*replica
 }
 
-// unplaced is the shared zero placement hand-built test entries (which
-// never run admit) observe: unpinned, unsharded, zero wear.
-var unplaced placement
-
-// placed returns the entry's current placement, never nil.
-func (e *entry) placed() *placement {
-	if pl := e.place.Load(); pl != nil {
-		return pl
-	}
-	return &unplaced
-}
+// placed returns the entry's current placement. Admission stores it
+// before the batcher exists, so every dispatched batch sees one.
+func (e *entry) placed() *placement { return e.place.Load() }
 
 // stages returns the pipeline depth of the placement (1 when unsharded).
-func (pl *placement) stages() int {
-	if pl.shard != nil {
-		return len(pl.shard.Stages)
-	}
-	return 1
-}
+func (pl *placement) stages() int { return len(pl.shard.Stages) }
 
 // config reports the placement as a scaler configuration.
 func (pl *placement) config() dispatch.Config {
@@ -173,21 +158,13 @@ func (pl *placement) config() dispatch.Config {
 	return c
 }
 
-// writesPerSample returns the stage's per-sample write wear (stage 0
-// for unsharded dispatch). Entries placed before the wear model was
-// computed (hand-built test entries) report 0.
-func (pl *placement) writesPerSample(stage int) float64 {
-	if stage < 0 || stage >= len(pl.stageWrites) {
-		return 0
-	}
-	return pl.stageWrites[stage]
-}
-
 // pipePlan is one memoized stage partition: the layer-range shard plan
-// for a stage count plus its pipeline pricing.
+// for a stage count, its pipeline pricing, and the per-stage wear costs
+// the fleet meters device writes from at each dispatch.
 type pipePlan struct {
-	shard    *core.ShardPlan
-	pipeline *sim.PipelineReport
+	shard       *core.ShardPlan
+	pipeline    *sim.PipelineReport
+	stageWrites []float64
 }
 
 // pipePlanFor returns the entry's memoized partition for k stages,
@@ -210,7 +187,12 @@ func (e *entry) pipePlanFor(k int) (*pipePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pp := &pipePlan{shard: sp, pipeline: pr}
+	pp := &pipePlan{shard: sp, pipeline: pr, stageWrites: make([]float64, len(sp.Stages))}
+	for si, st := range sp.Stages {
+		for i := st.Lo; i < st.Hi; i++ {
+			pp.stageWrites[si] += e.layerWrites[i]
+		}
+	}
 	if e.pipes == nil {
 		e.pipes = map[int]*pipePlan{}
 	}
@@ -280,10 +262,10 @@ type BatchOptions struct {
 // retain programs (bit-exact mode replays them). shardStages > 1 admits
 // every model as a layer-range pipeline of that many stages (clamped to
 // the live fleet size and the model's layer count), each stage pinned to
-// a fleet device; <= 1 keeps whole-model dispatch. replicas > 1 places
-// that many independent copies of every model across the fleet (clamped
-// to fleet capacity); batches balance across live replicas and fail over
-// on device loss.
+// a fleet device; <= 1 runs every model as a one-stage pipeline on any
+// device. replicas > 1 places that many independent copies of every
+// model across the fleet (clamped to fleet capacity); batches balance
+// across live replicas and fail over on device loss.
 func NewRegistry(compile core.Config, maxModels int, fleet *Fleet, batch BatchOptions, shardStages, replicas int) *Registry {
 	compile.KeepPrograms = true
 	if maxModels <= 0 {
@@ -523,34 +505,26 @@ func (r *Registry) buildNet(spec Spec) (*model.Network, error) {
 // buildPlacement realizes a (replicas, stages) configuration for a
 // compiled entry: the pipeline shard plan (memoized per stage count)
 // and the data-parallel replica placements. The stage count clamps to
-// the live fleet size and the layer count; the replica count clamps to
+// the live fleet size and the layer count, and to at least one: an
+// unsharded model is a one-stage pipeline. The replica count clamps to
 // live-devices/stages so placements stay device-disjoint. A clamp down
-// to one stage and one replica leaves the entry on the plain unpinned
-// whole-model dispatch path — unless the registry runs pinned
-// (autoscale mode), where even 1r×1s is a placement the scaler can grow.
+// to one stage and one replica leaves the entry unpinned across the
+// whole fleet — unless the registry runs pinned (autoscale mode), where
+// even 1r×1s is a placement the scaler can grow.
 func (r *Registry) buildPlacement(e *entry, cfg dispatch.Config) (*placement, error) {
-	pl := &placement{}
-	k := cfg.Stages
-	if live := r.fleet.NumLive(); k > live {
-		k = live
+	k := min(cfg.Stages, r.fleet.NumLive(), len(e.comp.Layers))
+	pp, err := e.pipePlanFor(max(k, 1))
+	if err != nil {
+		return nil, err
 	}
-	if k > len(e.comp.Layers) {
-		k = len(e.comp.Layers)
-	}
-	if k > 1 {
-		pp, err := e.pipePlanFor(k)
-		if err != nil {
-			return nil, err
-		}
-		pl.shard, pl.pipeline = pp.shard, pp.pipeline
-	}
+	pl := &placement{pipePlan: pp}
 
 	stages := pl.stages()
 	reps := cfg.Replicas
 	if reps < 1 {
 		reps = 1
 	}
-	if pl.shard != nil || reps > 1 || r.pinned {
+	if stages > 1 || reps > 1 || r.pinned {
 		placed := r.fleet.PinReplicas(reps, stages)
 		if len(placed) == 0 {
 			// Same condition as a resident model with every replica dead, so
@@ -559,23 +533,6 @@ func (r *Registry) buildPlacement(e *entry, cfg dispatch.Config) (*placement, er
 				errNoReplica, stages, stages)
 		}
 		pl.replicas = placed
-	}
-
-	// Per-stage wear costs from the cached endurance model: the fleet
-	// meters cumulative device writes from these at each dispatch.
-	if pl.shard != nil {
-		pl.stageWrites = make([]float64, len(pl.shard.Stages))
-		for si, st := range pl.shard.Stages {
-			for i := st.Lo; i < st.Hi; i++ {
-				pl.stageWrites[si] += e.layerWrites[i]
-			}
-		}
-	} else {
-		total := 0.0
-		for _, wv := range e.layerWrites {
-			total += wv
-		}
-		pl.stageWrites = []float64{total}
 	}
 	return pl, nil
 }
@@ -690,12 +647,13 @@ func (r *Registry) Loaded() []LoadedInfo {
 			Arrays: e.comp.PoolArrays, PerInferNS: e.report.TotalLatencyNS,
 		}
 		pl := e.placed()
-		if pl.shard != nil {
-			info.Stages = len(pl.shard.Stages)
+		sharded := pl.stages() > 1
+		if sharded {
+			info.Stages = pl.stages()
 			info.BottleneckNS = pl.pipeline.BottleneckNS
 		}
 		if len(pl.replicas) > 0 {
-			if pl.shard != nil {
+			if sharded {
 				info.StageDevices = append([]int(nil), pl.replicas[0].devs...)
 			}
 			info.Replicas = len(pl.replicas)

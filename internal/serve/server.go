@@ -41,7 +41,7 @@ type Options struct {
 	// that many stages (clamped to Devices and the model's layer count):
 	// each stage is pinned to a fleet device and micro-batches stream
 	// through the stages instead of whole batches dispatching to one
-	// device. <= 1 keeps whole-model dispatch.
+	// device. <= 1 runs every model as a one-stage pipeline.
 	ShardStages int
 	// Replicas > 1 places that many independent copies of every admitted
 	// model across the fleet (device-disjoint placements, clamped to

@@ -10,9 +10,11 @@
 // device under the pipelined-load model, and AnalyzePipeline prices a
 // core.ShardPlan as a software pipeline across devices (stage fill and
 // marginal latencies, inter-stage activation transfer cost, bottleneck
-// throughput). ShardRun/ForwardAPSharded execute a sharded plan stage by
-// stage, each stage isolated to the activations its predecessor shipped,
-// bit-identically to single-device execution.
+// throughput); at one stage it equals AnalyzeBatch. ShardRun/StepBatch
+// execute a shard plan stage by stage, each stage isolated to the
+// activations its predecessor shipped, bit-identically to single-device
+// execution; the serving fleet runs every model this way, an unsharded
+// one as a single stage.
 //
 // Functional execution runs on the batched, pooled engine of exec.go:
 // ForwardAPBatch/RunConvBatch lay a batch's im2col rows side by side so

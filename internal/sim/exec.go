@@ -314,12 +314,6 @@ type LayerHook func(layer int, name string, startUnixNS, durNS int64)
 // row-group) across the whole batch. Each returned trace is bit-identical
 // to ForwardAP on the corresponding input.
 func ForwardAPBatch(c *core.Compiled, ins []*tensor.Float) ([]*model.IntTrace, error) {
-	return ForwardAPBatchHook(c, ins, nil)
-}
-
-// ForwardAPBatchHook is ForwardAPBatch with a per-layer observation
-// hook (nil behaves exactly like ForwardAPBatch).
-func ForwardAPBatchHook(c *core.Compiled, ins []*tensor.Float, hook LayerHook) ([]*model.IntTrace, error) {
 	if len(ins) == 0 {
 		return nil, nil
 	}
@@ -327,17 +321,10 @@ func ForwardAPBatchHook(c *core.Compiled, ins []*tensor.Float, hook LayerHook) (
 	for i, in := range ins {
 		trs[i] = quantizeInput(c, in)
 	}
-	if err := execLayersBatch(c, trs, 0, len(c.Net.Layers), true, hook); err != nil {
+	if err := execLayersBatch(c, trs, 0, len(c.Net.Layers), true, nil); err != nil {
 		return nil, err
 	}
 	return trs, nil
-}
-
-// execLayers executes the layer range [lo, hi) of the compiled network on
-// one trace — the single-item view of execLayersBatch, kept as the entry
-// point of the sharded stage runner.
-func execLayers(c *core.Compiled, tr *model.IntTrace, lo, hi int, bitExact bool, hook LayerHook) error {
-	return execLayersBatch(c, []*model.IntTrace{tr}, lo, hi, bitExact, hook)
 }
 
 // execLayersBatch executes the layer range [lo, hi) on every trace,

@@ -20,10 +20,9 @@ type ShardRun struct {
 	sp *core.ShardPlan
 
 	stage int
-	// Boundary context carried between stages, keyed by producer layer
-	// index (model.InputRef for the quantized network input).
-	ctxT map[int]*tensor.Int
-	ctxS map[int]float64
+	// store is the working trace of the next stage: the quantized input
+	// before stage 0, then exactly the previous stage's XferRefs.
+	store *model.IntTrace
 
 	// trace accumulates every layer output when the run was created with
 	// tracing on (ForwardAPSharded); nil otherwise.
@@ -37,12 +36,7 @@ func NewShardRun(c *core.Compiled, sp *core.ShardPlan, in *tensor.Float) (*Shard
 	if len(sp.Stages) == 0 || sp.Stages[len(sp.Stages)-1].Hi != len(c.Layers) {
 		return nil, fmt.Errorf("sim: shard plan does not cover the %d-layer network", len(c.Layers))
 	}
-	tr := quantizeInput(c, in)
-	return &ShardRun{
-		c: c, sp: sp,
-		ctxT: map[int]*tensor.Int{model.InputRef: tr.InputCodes},
-		ctxS: map[int]float64{model.InputRef: float64(c.Net.InputQ.Step)},
-	}, nil
+	return &ShardRun{c: c, sp: sp, store: quantizeInput(c, in)}, nil
 }
 
 // Done reports whether every stage has executed.
@@ -62,11 +56,10 @@ func (r *ShardRun) Step(bitExact bool) error {
 		return fmt.Errorf("sim: shard run already complete")
 	}
 	st := r.sp.Stages[r.stage]
-	tr := r.buildStore()
-	if err := execLayers(r.c, tr, st.Lo, st.Hi, bitExact, nil); err != nil {
+	if err := execLayersBatch(r.c, []*model.IntTrace{r.store}, st.Lo, st.Hi, bitExact, nil); err != nil {
 		return fmt.Errorf("sim: stage %d [%d,%d): %w", r.stage, st.Lo, st.Hi, err)
 	}
-	return r.finishStage(tr)
+	return r.finishStage()
 }
 
 // StepBatch advances a set of runs positioned at the same stage of the
@@ -76,17 +69,11 @@ func (r *ShardRun) Step(bitExact bool) error {
 // run alone. The returned slice has one entry per run; a batch-wide
 // execution failure is attributed to every run it aborted (the runs are
 // structurally identical, so it would have failed each of them alone
-// too). Runs that are mismatched or already complete fall back to
-// individual Steps.
-func StepBatch(runs []*ShardRun, bitExact bool) []error {
-	return StepBatchHook(runs, bitExact, nil)
-}
-
-// StepBatchHook is StepBatch with a per-layer observation hook (nil
-// behaves exactly like StepBatch). The non-uniform fallback path steps
-// runs individually and drops the hook — mixed batches are a recovery
-// corner, not an attribution target.
-func StepBatchHook(runs []*ShardRun, bitExact bool, hook LayerHook) []error {
+// too). hook, when non-nil, observes every layer of the batched pass.
+// Runs that are mismatched or already complete fall back to individual
+// Steps, which drop the hook — mixed batches are a recovery corner, not
+// an attribution target.
+func StepBatch(runs []*ShardRun, bitExact bool, hook LayerHook) []error {
 	errs := make([]error, len(runs))
 	if len(runs) == 0 {
 		return errs
@@ -107,7 +94,7 @@ func StepBatchHook(runs []*ShardRun, bitExact bool, hook LayerHook) []error {
 	st := runs[0].sp.Stages[runs[0].stage]
 	trs := make([]*model.IntTrace, len(runs))
 	for i, r := range runs {
-		trs[i] = r.buildStore()
+		trs[i] = r.store
 	}
 	if err := execLayersBatch(runs[0].c, trs, st.Lo, st.Hi, bitExact, hook); err != nil {
 		err = fmt.Errorf("sim: stage %d [%d,%d): %w", runs[0].stage, st.Lo, st.Hi, err)
@@ -117,35 +104,17 @@ func StepBatchHook(runs []*ShardRun, bitExact bool, hook LayerHook) []error {
 		return errs
 	}
 	for i, r := range runs {
-		errs[i] = r.finishStage(trs[i])
+		errs[i] = r.finishStage()
 	}
 	return errs
 }
 
-// buildStore assembles the stage's working store, holding exactly the
-// carried boundary tensors.
-func (r *ShardRun) buildStore() *model.IntTrace {
-	n := len(r.c.Net.Layers)
-	tr := &model.IntTrace{
-		Outputs: make([]*tensor.Int, n),
-		Scales:  make([]float64, n),
-	}
-	for ref, t := range r.ctxT {
-		if ref == model.InputRef {
-			tr.InputCodes = t
-		} else {
-			tr.Outputs[ref] = t
-			tr.Scales[ref] = r.ctxS[ref]
-		}
-	}
-	return tr
-}
-
-// finishStage records the executed stage's results and ships the
-// boundary live set to the next stage (or captures the logits on the
-// last one).
-func (r *ShardRun) finishStage(tr *model.IntTrace) error {
+// finishStage records the executed stage's results and replaces the
+// store with one holding only the boundary live set for the next stage
+// (or captures the logits on the last one).
+func (r *ShardRun) finishStage() error {
 	st := r.sp.Stages[r.stage]
+	tr := r.store
 	n := len(r.c.Net.Layers)
 	if r.trace != nil {
 		if r.stage == 0 {
@@ -159,27 +128,27 @@ func (r *ShardRun) finishStage(tr *model.IntTrace) error {
 
 	if r.stage == len(r.sp.Stages)-1 {
 		r.logits = tr.Outputs[n-1]
-		r.ctxT, r.ctxS = nil, nil
+		r.store = nil
 		r.stage++
 		return nil
 	}
 	// Ship exactly the boundary live set to the next stage.
-	nextT := make(map[int]*tensor.Int, len(st.XferRefs))
-	nextS := make(map[int]float64, len(st.XferRefs))
+	next := &model.IntTrace{
+		Outputs: make([]*tensor.Int, n),
+		Scales:  make([]float64, n),
+	}
 	for _, ref := range st.XferRefs {
 		if ref == model.InputRef {
-			nextT[ref] = tr.InputCodes
-			nextS[ref] = float64(r.c.Net.InputQ.Step)
+			next.InputCodes = tr.InputCodes
 			continue
 		}
-		t := tr.Outputs[ref]
-		if t == nil {
+		if tr.Outputs[ref] == nil {
 			return fmt.Errorf("sim: stage %d boundary ref %d not produced", r.stage, ref)
 		}
-		nextT[ref] = t
-		nextS[ref] = tr.Scales[ref]
+		next.Outputs[ref] = tr.Outputs[ref]
+		next.Scales[ref] = tr.Scales[ref]
 	}
-	r.ctxT, r.ctxS = nextT, nextS
+	r.store = next
 	r.stage++
 	return nil
 }

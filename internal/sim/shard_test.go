@@ -129,20 +129,26 @@ func TestAnalyzePipelineK1MatchesAnalyzeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// AnalyzeStageBatch on the only stage prices every unsharded serving
+	// batch, so it must agree with AnalyzeBatch as well.
 	for _, b := range []int{1, 4, 32} {
 		want := AnalyzeBatch(rep, b)
-		got := AnalyzePipelineBatch(pr, b)
-		if math.Abs(got.FirstNS-want.FirstNS) > 1e-9*want.FirstNS {
-			t.Errorf("b=%d: FirstNS %g, AnalyzeBatch %g", b, got.FirstNS, want.FirstNS)
-		}
-		if math.Abs(got.MarginalNS-want.MarginalNS) > 1e-9*want.MarginalNS {
-			t.Errorf("b=%d: MarginalNS %g, AnalyzeBatch %g", b, got.MarginalNS, want.MarginalNS)
-		}
-		if math.Abs(got.LatencyNS-want.LatencyNS) > 1e-9*want.LatencyNS {
-			t.Errorf("b=%d: LatencyNS %g, AnalyzeBatch %g", b, got.LatencyNS, want.LatencyNS)
-		}
-		if math.Abs(got.EnergyPJ-want.EnergyPJ) > 1e-9*want.EnergyPJ {
-			t.Errorf("b=%d: EnergyPJ %g, AnalyzeBatch %g", b, got.EnergyPJ, want.EnergyPJ)
+		for name, got := range map[string]BatchReport{
+			"AnalyzePipelineBatch": AnalyzePipelineBatch(pr, b),
+			"AnalyzeStageBatch":    AnalyzeStageBatch(pr, 0, b),
+		} {
+			if math.Abs(got.FirstNS-want.FirstNS) > 1e-9*want.FirstNS {
+				t.Errorf("%s b=%d: FirstNS %g, AnalyzeBatch %g", name, b, got.FirstNS, want.FirstNS)
+			}
+			if math.Abs(got.MarginalNS-want.MarginalNS) > 1e-9*want.MarginalNS {
+				t.Errorf("%s b=%d: MarginalNS %g, AnalyzeBatch %g", name, b, got.MarginalNS, want.MarginalNS)
+			}
+			if math.Abs(got.LatencyNS-want.LatencyNS) > 1e-9*want.LatencyNS {
+				t.Errorf("%s b=%d: LatencyNS %g, AnalyzeBatch %g", name, b, got.LatencyNS, want.LatencyNS)
+			}
+			if math.Abs(got.EnergyPJ-want.EnergyPJ) > 1e-9*want.EnergyPJ {
+				t.Errorf("%s b=%d: EnergyPJ %g, AnalyzeBatch %g", name, b, got.EnergyPJ, want.EnergyPJ)
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 //	wait     micro-batcher coalescing: item enqueue → batch dispatch
 //	queue    fleet queue: batch dispatch → execution start on a device
 //	hop      inter-stage transfer of a sharded batch: forward → next stage start
-//	exec     whole-model execution of one batch on one device
+//	exec     execution of one unsharded (one-stage) batch on one device
 //	stage    one pipeline stage of a sharded batch (Stage is the index)
 //	layer    one layer's ExecPlan interpretation (sampled; Detail names the layer)
 //	requeue  failover: the batch reached a dead device (Device) and was requeued

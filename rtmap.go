@@ -149,16 +149,6 @@ func RunFunctionalBatch(c *Compiled, ins []*FloatTensor) ([]*IntTrace, error) {
 	return sim.ForwardAPBatch(c, ins)
 }
 
-// RunFunctionalBaseline executes one input on the retained pre-ExecPlan
-// interpreter (a freshly allocated word machine per strip, tile and row
-// group). It exists for two reasons: as the measured baseline of the
-// rtmap-bench -exec engine sweep, and as an independent oracle the
-// batched engine is tested against — two interpreters of the same
-// programs must agree bit for bit.
-func RunFunctionalBaseline(c *Compiled, in *FloatTensor) (*IntTrace, error) {
-	return sim.ForwardAPBaseline(c, in)
-}
-
 // Calibrate fits all activation quantizers of net on calibration inputs.
 func Calibrate(net *Network, inputs []*FloatTensor) error {
 	return model.Calibrate(net, inputs)

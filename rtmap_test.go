@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rtmap/internal/sim"
 	"rtmap/internal/workload"
 	"rtmap/internal/xbar"
 )
@@ -304,7 +305,7 @@ func TestRunFunctionalBatchPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := RunFunctionalBaseline(comp, in)
+		base, err := sim.ForwardAPBaseline(comp, in)
 		if err != nil {
 			t.Fatal(err)
 		}
