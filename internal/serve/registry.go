@@ -647,15 +647,12 @@ func (r *Registry) Loaded() []LoadedInfo {
 			Arrays: e.comp.PoolArrays, PerInferNS: e.report.TotalLatencyNS,
 		}
 		pl := e.placed()
-		sharded := pl.stages() > 1
-		if sharded {
-			info.Stages = pl.stages()
-			info.BottleneckNS = pl.pipeline.BottleneckNS
+		if k := pl.stages(); k > 1 {
+			// A sharded placement always has pinned replicas.
+			info.Stages, info.BottleneckNS = k, pl.pipeline.BottleneckNS
+			info.StageDevices = append([]int(nil), pl.replicas[0].devs...)
 		}
 		if len(pl.replicas) > 0 {
-			if sharded {
-				info.StageDevices = append([]int(nil), pl.replicas[0].devs...)
-			}
 			info.Replicas = len(pl.replicas)
 			live, batches := r.fleet.ReplicaStats(pl.replicas)
 			info.ReplicaLive = live
